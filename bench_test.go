@@ -790,10 +790,20 @@ func benchDeltaWorkload(b testing.TB) *topology.RoutingMatrix {
 //     twenty-three components skip Phase-1 outright and only comp0's dirty
 //     pair shards refold. This is the sub-millisecond CI gate target;
 //   - rebalance: alldirty with the LPT rebalancer at theta=0, so every wave
-//     also pays cost-EWMA bookkeeping and a candidate-grouping evaluation.
+//     also pays cost-EWMA bookkeeping and a candidate-grouping evaluation;
+//   - auto/cold: the first Steady of a fresh engine under the default
+//     VarianceAuto (dense QR per component), so the one-time factor build
+//     is on the clock;
+//   - auto/alldirty: alldirty under the default VarianceAuto — a cluster
+//     node's configuration, since cluster.EngineOptions carries no variance
+//     method — which resolves every 25-path component to the cached dense
+//     QR: a right-hand-side gather plus Qᵀ and back substitution per
+//     component against the topology-only factor.
 //
 // Before timing, dirty1 asserts its sparse-fed component is bitwise-equal
-// to a standalone windowed engine fed the same rows; after timing it
+// to a standalone windowed engine fed the same rows, and auto/alldirty
+// asserts every component is bitwise-equal to core.EstimateVariances over
+// the same window, on both the cold and a warm wave; after timing dirty1
 // asserts the wave really skipped the untouched components.
 func BenchmarkEngineDeltaRebuild(b *testing.B) {
 	rm := benchDeltaWorkload(b)
@@ -808,10 +818,10 @@ func BenchmarkEngineDeltaRebuild(b *testing.B) {
 		}
 		pool[t] = y
 	}
-	// At 25 paths per component VarianceAuto would pick dense QR, which has
-	// no incremental path; pin the cacheable normal-equations solver — the
-	// method any long-running deployment at scale resolves to — so the
-	// benchmark exercises the delta fold it exists to measure.
+	// At 25 paths per component VarianceAuto resolves to dense QR, whose
+	// cached solve gathers its right-hand side afresh with no delta fold;
+	// the legs other than auto/alldirty pin the normal-equations solver so
+	// they exercise the delta fold they exist to measure.
 	newEngine := func(b *testing.B, opts ...lia.Option) *lia.ShardedEngine {
 		b.Helper()
 		se, err := lia.NewShardedEngine(rm, append([]lia.Option{
@@ -973,6 +983,83 @@ func BenchmarkEngineDeltaRebuild(b *testing.B) {
 		}
 		if got := st.SkippedComponents - before.SkippedComponents; got != uint64(b.N*(ncomps-1)) {
 			b.Fatalf("skipped %d component rebuilds over %d warm epochs, want %d", got, b.N, b.N*(ncomps-1))
+		}
+	})
+
+	b.Run("auto/cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			se := newEngine(b, lia.WithVarianceMethod(lia.VarianceAuto))
+			fill(b, se)
+			b.StartTimer()
+			if _, err := se.Steady(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("auto/alldirty", func(b *testing.B) {
+		se := newEngine(b, lia.WithVarianceMethod(lia.VarianceAuto))
+		warm(b, se)
+		part := topology.NewPartition(rm)
+		check := func(b *testing.B, last int) {
+			b.Helper()
+			vars, err := se.Variances(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for c := 0; c < part.NumComponents(); c++ {
+				comp := part.Component(c)
+				cpaths := make([]topology.Path, len(comp.Paths))
+				for pl, pg := range comp.Paths {
+					cpaths[pl] = rm.Path(pg)
+				}
+				crm, err := topology.Build(cpaths)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Replay the engine's whole stream: eviction is Welford run
+				// backwards, exact only to rounding, so the reference must
+				// evict the same snapshots to match bit for bit.
+				acc := stats.NewWindowedCovAccumulator(len(comp.Paths), window)
+				proj := make([]float64, len(comp.Paths))
+				for t := 0; t <= last; t++ {
+					for pl, pg := range comp.Paths {
+						proj[pl] = pool[t%len(pool)][pg]
+					}
+					acc.Add(proj)
+				}
+				want, err := core.EstimateVariances(crm, acc, core.VarianceOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for kl := range want {
+					kg, ok := rm.VirtualOf(crm.Members(kl)[0])
+					if !ok {
+						b.Fatalf("component %d link %d lost its global identity", c, kl)
+					}
+					if vars[kg] != want[kl] {
+						b.Fatalf("component %d link %d: engine %g != EstimateVariances %g (not bitwise identical)",
+							c, kg, vars[kg], want[kl])
+					}
+				}
+			}
+		}
+		check(b, window-1)
+		if err := se.Ingest(pool[window%len(pool)]); err != nil {
+			b.Fatal(err)
+		}
+		check(b, window)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := se.Ingest(pool[i%len(pool)]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := se.Variances(ctx); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 

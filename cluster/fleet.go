@@ -66,6 +66,10 @@ type nodeClient struct {
 	batches chan [][]float64 // node-local scattered batches
 	sctx    context.Context  // cancelled when this incarnation ends
 	scancel context.CancelFunc
+	// base is the node's folded-snapshot count before this incarnation's
+	// first delivery — the state it restored on (re)start — or -1 until the
+	// first stream probe reads it. Deliveries count on top of it.
+	base int64
 
 	sent       atomic.Int64 // snapshots enqueued for this node
 	missed     atomic.Int64 // snapshots dropped (queue full or stream broken)
@@ -99,6 +103,34 @@ func (nc *nodeClient) reincarnate(parent context.Context, buffer int) {
 	}
 	nc.sctx, nc.scancel = context.WithCancel(parent)
 	nc.batches = make(chan [][]float64, buffer)
+	nc.base = -1
+}
+
+// setBase records the node's folded-snapshot count as read by the first
+// stream probe of the incarnation sctx. Every delivery of an incarnation
+// follows one of its probes on the single supervising goroutine, so the
+// first probe sees exactly the state the node started this incarnation with.
+// A probe of an ended incarnation is ignored.
+func (nc *nodeClient) setBase(sctx context.Context, snapshots int) {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	if nc.sctx == sctx && nc.base < 0 {
+		nc.base = int64(snapshots)
+	}
+}
+
+// expected returns the folded-snapshot count the node owes once everything
+// delivered so far has landed, and false while no stream probe has read the
+// node's starting state yet.
+func (nc *nodeClient) expected() (int64, bool) {
+	nc.mu.Lock()
+	base := nc.base
+	nc.mu.Unlock()
+	delivered := nc.sent.Load() - nc.missed.Load()
+	if base < 0 {
+		return delivered, delivered == 0
+	}
+	return base + delivered, true
 }
 
 func (nc *nodeClient) assigned() (comps []int, paths []int) {
@@ -483,6 +515,7 @@ func (f *Fleet) ingestOnce(nc *nodeClient) (wrote int, err error) {
 	if ev.Assignment != gen {
 		return 0, fmt.Errorf("node reports assignment %d, fleet runs %d", ev.Assignment, gen)
 	}
+	nc.setBase(sctx, ev.Snapshots)
 	pr, pw := io.Pipe()
 	url := fmt.Sprintf("%s/cluster/v1/ingest?assignment=%d", nc.baseURL(), gen)
 	req, err := http.NewRequestWithContext(sctx, http.MethodPost, url, pr)
@@ -1010,9 +1043,10 @@ func (f *Fleet) ClusterNodes() (total, live int) {
 }
 
 // Synced blocks until every node's folded snapshot count has caught up
-// with what the fleet delivered to it (sent minus known-missed), or the
-// context expires — the barrier tests and smoke drivers use between
-// ingestion and a parity query.
+// with what the fleet delivered to it (sent minus known-missed) on top of
+// the state the node started its incarnation with (a restarted node may
+// restore folded snapshots from its StateDir), or the context expires — the
+// barrier tests and smoke drivers use between ingestion and a parity query.
 func (f *Fleet) Synced(ctx context.Context) error {
 	for attempt := 0; ; attempt++ {
 		lagging := ""
@@ -1021,7 +1055,11 @@ func (f *Fleet) Synced(ctx context.Context) error {
 			lagging = err.Error()
 		} else {
 			for _, nc := range nodes {
-				expect := nc.sent.Load() - nc.missed.Load()
+				expect, known := nc.expected()
+				if !known {
+					lagging = fmt.Sprintf("node %s has no ingest stream yet", nc.id)
+					break
+				}
 				var ev NodeEvent
 				if err := getJSON(ctx, f.cfg.Client, nc.baseURL()+"/cluster/v1/stats", &ev); err != nil {
 					lagging = fmt.Sprintf("node %s: %v", nc.id, err)

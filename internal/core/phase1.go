@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"lia/internal/linalg"
@@ -15,29 +16,42 @@ import (
 //
 // Under the negative-covariance policies whose kept-equation set does not
 // depend on the measured data (ClampNegativeCov and KeepNegativeCov — every
-// equation survives, only its right-hand side is adjusted), the Gram matrix
-// G = AᵀA of the normal equations is a pure function of the topology. Phase1
-// therefore accumulates G and its (regularized) Cholesky factor exactly once
-// per routing matrix, and every subsequent Estimate costs only the
-// O(np²·s̄) right-hand-side fold plus two O(nc²) triangular solves — no Gram
-// re-accumulation, no re-factorization. The right-hand side reuses the same
-// shard-windowed reduction as the from-scratch build, so a warm Estimate is
-// bit-identical to EstimateVariances with the same options.
+// equation survives, only its right-hand side is adjusted), the augmented
+// matrix A — one row per path pair with a non-empty support, in canonical
+// pair order — is a pure function of the topology, and so is every
+// factorization of it. Phase1 therefore builds the topology-only factor of
+// whichever method the options resolve to exactly once per routing matrix:
 //
-// DropNegativeCov (whose row set depends on the data) and the dense-QR
-// method transparently fall back to the full EstimateVariances path.
+//   - normal equations: the Gram matrix G = AᵀA and its (regularized)
+//     Cholesky factor. Every subsequent Estimate costs only the O(np²·s̄)
+//     right-hand-side fold plus two O(nc²) triangular solves. The right-hand
+//     side reuses the same shard-windowed reduction as the from-scratch
+//     build, so a warm Estimate is bit-identical to EstimateVariances.
+//   - dense QR: the Householder factor of A itself, with each class of
+//     identical non-pivot rows stored and factored once
+//     (linalg.NewQRSharedRows), or — when A is rank-deficient — the pivoted
+//     minimum-norm fallback. Every subsequent Estimate gathers the
+//     length-rows right-hand side, applies Qᵀ and back-substitutes:
+//     O(rows·nc) instead of the O(rows·nc²) refactorization. The shared-row
+//     factor does NewQR's arithmetic on the full A in the same order, and
+//     EstimateVariances's dense path also factors before it solves, so a
+//     warm Estimate is bitwise-identical.
 //
-// On top of the cached factorization, cacheable Estimates against frozen
-// *stats.CovSnapshot views maintain the right-hand side incrementally: the
-// per-pair-shard partial sums of the previous fold are kept alongside the
-// view they came from, and a new view whose divisor is bitwise-unchanged
-// recomputes only the shards whose co-moment block moved (packed pair index
-// and packed co-moment index coincide, so pair shards map onto contiguous
-// co-moment blocks). Clean partials are reused verbatim and all partials
-// re-fold in shard order — the identical additions, in the identical order,
-// as the cold fold, so the delta path is bitwise-equal by construction. A
-// divisor that moved (cumulative counts growing, decay weights rescaling)
-// degrades gracefully to recomputing every shard.
+// DropNegativeCov, whose row set depends on the data, transparently falls
+// back to the full EstimateVariances path.
+//
+// On top of the cached Cholesky factorization, cacheable normal-equations
+// Estimates against frozen *stats.CovSnapshot views maintain the right-hand
+// side incrementally: the per-pair-shard partial sums of the previous fold
+// are kept alongside the view they came from, and a new view whose divisor
+// is bitwise-unchanged recomputes only the shards whose co-moment block
+// moved (packed pair index and packed co-moment index coincide, so pair
+// shards map onto contiguous co-moment blocks). Clean partials are reused
+// verbatim and all partials re-fold in shard order — the identical
+// additions, in the identical order, as the cold fold, so the delta path is
+// bitwise-equal by construction. A divisor that moved (cumulative counts
+// growing, decay weights rescaling) degrades gracefully to recomputing every
+// shard.
 //
 // Estimate is safe for concurrent use: the cached factor is built once under
 // an internal lock, the delta state is serialized under another, and solves
@@ -48,13 +62,27 @@ type Phase1 struct {
 
 	mu     sync.Mutex
 	built  bool
-	chol   *linalg.Cholesky
-	lambda float64 // ridge the factorization needed (diagnostics)
-	err    error   // sticky factorization failure (deterministic per topology)
+	chol   *linalg.Cholesky // normal-equations factor
+	dense  *denseFactor     // dense-QR factor
+	lambda float64          // ridge the Cholesky factorization needed (diagnostics)
+	err    error            // sticky factorization failure (deterministic per topology)
 
 	deltaMu sync.Mutex
 	delta   rhsDelta
 }
+
+// denseFactor is the cached dense-QR form of A under clamp/keep: exactly one
+// of qr (full column rank) and minNorm (rank-deficient) is set.
+type denseFactor struct {
+	// shardRow[s] is the equation row of the first non-empty pair of pair
+	// shard s (length shards+1, the last entry the row count), so the
+	// right-hand-side gather fans out over shards writing disjoint ranges.
+	shardRow []int
+	qr       *linalg.QR        // shared-row Householder factor
+	minNorm  *linalg.PivotedQR // pivoted minimum-norm fallback
+}
+
+func (d *denseFactor) rows() int { return d.shardRow[len(d.shardRow)-1] }
 
 // rhsDelta is the incremental right-hand-side state: the frozen view the
 // cached partials were folded from and the per-shard partial sums themselves
@@ -111,16 +139,15 @@ func NewPhase1(rm *topology.RoutingMatrix, opts VarianceOptions) *Phase1 {
 }
 
 // Cacheable reports whether this solver's options admit the cached
-// factorization: a data-independent kept-equation set (clamp or keep policy)
-// solved by normal equations. Non-cacheable configurations still work — they
-// run the full estimation on every call.
+// factorization: a data-independent kept-equation set (clamp or keep
+// policy), under either solver method. Non-cacheable configurations still
+// work — they run the full estimation on every call.
 func (p *Phase1) Cacheable() bool {
-	return p.opts.NegPolicy != DropNegativeCov &&
-		p.opts.resolveMethod(p.rm) == VarianceNormalEquations
+	return p.opts.NegPolicy != DropNegativeCov
 }
 
 // Warm reports whether the factorization is already cached, i.e. whether the
-// next Estimate pays only the RHS fold and the triangular solves.
+// next Estimate pays only the right-hand side and the triangular solves.
 func (p *Phase1) Warm() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -153,7 +180,10 @@ func (p *Phase1) Estimate(cov stats.CovView) ([]float64, error) {
 	if err := p.rm.PrecomputePairSupports(); err != nil {
 		return nil, fmt.Errorf("core: phase-1 equations: %w", err)
 	}
-	ch, err := p.factor()
+	if p.opts.resolveMethod(p.rm) == VarianceDenseQR {
+		return p.solveDense(cov)
+	}
+	ch, err := p.factorNormal()
 	if err != nil {
 		return nil, err
 	}
@@ -162,6 +192,27 @@ func (p *Phase1) Estimate(cov stats.CovView) ([]float64, error) {
 	p.foldRHS(rhs, cov, p.opts.shardWorkers(p.rm.NumPairs()))
 	v := make([]float64, nc)
 	ch.SolveWith(v, rhs, make([]float64, nc))
+	return v, nil
+}
+
+// solveDense is the cached dense-QR solve: gather the adjusted
+// covariances of A's rows in canonical pair order — the right-hand side
+// collectEquations builds — and solve against the topology-only factor.
+func (p *Phase1) solveDense(cov stats.CovView) ([]float64, error) {
+	f, err := p.factorDense()
+	if err != nil {
+		return nil, err
+	}
+	rhs := make([]float64, f.rows())
+	gatherRHS(rhs, p.rm, cov, p.opts, f.shardRow)
+	if f.minNorm != nil {
+		return f.minNorm.SolveMinNorm(rhs), nil
+	}
+	v := make([]float64, p.rm.NumLinks())
+	// rhs doubles as the Qᵀ workspace: it is not needed after the solve.
+	if err := f.qr.SolveWith(v, rhs, rhs); err != nil {
+		return nil, fmt.Errorf("core: dense variance solve: %w", err)
+	}
 	return v, nil
 }
 
@@ -231,12 +282,12 @@ func (p *Phase1) foldRHS(dst []float64, cov stats.CovView, workers int) {
 	d.lastDirty, d.lastShards = len(work), shards
 }
 
-// factor returns the cached Cholesky factor of the topology-only Gram
+// factorNormal returns the cached Cholesky factor of the topology-only Gram
 // matrix, building it on first use. The build is the one place Phase1 pays
 // the cold price: the row-banded shared-matrix Gram accumulation followed by
 // the O(nc³) factorization. Failures (an unidentifiable topology even after
 // ridge regularization) are deterministic per topology and cached too.
-func (p *Phase1) factor() (*linalg.Cholesky, error) {
+func (p *Phase1) factorNormal() (*linalg.Cholesky, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.built {
@@ -255,4 +306,99 @@ func (p *Phase1) factor() (*linalg.Cholesky, error) {
 	}
 	p.chol, p.lambda = ch, lambda
 	return ch, nil
+}
+
+// factorDense returns the cached dense-QR factor of A, building it on first
+// use from a single walk of the pair index. Rank is read off R's diagonal
+// with the tolerance Solve applies, so a full-rank A never pays a trial
+// solve, and the freshly materialized distinct rows of A are factored in
+// place — never the full matrix, never a copy. A rank-deficient A (possible
+// only where Theorem 1's routing assumptions fail) caches the pivoted
+// minimum-norm fallback instead, on the same worker pool as
+// EstimateVariances. Too few equations is a deterministic failure, cached
+// too.
+func (p *Phase1) factorDense() (*denseFactor, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.built {
+		return p.dense, p.err
+	}
+	p.built = true
+	rm := p.rm
+	nc, npairs := rm.NumLinks(), rm.NumPairs()
+	shards := (npairs + pairsPerShard - 1) / pairsPerShard
+	f := &denseFactor{shardRow: make([]int, shards+1)}
+	supports := make([][]int32, 0, npairs)
+	pair := 0
+	rm.VisitPairSupports(0, npairs, func(i, j int, support []int32) {
+		if pair%pairsPerShard == 0 {
+			f.shardRow[pair/pairsPerShard] = len(supports)
+		}
+		pair++
+		if len(support) > 0 {
+			supports = append(supports, support)
+		}
+	})
+	f.shardRow[shards] = len(supports)
+	if len(supports) < nc {
+		p.err = fmt.Errorf("core: only %d usable covariance equations for %d links: %w",
+			len(supports), nc, ErrUnidentifiable)
+		return nil, p.err
+	}
+	// Rows of A are equal exactly when their supports are, so the classes
+	// the shared-row factorization stores once are read off the topology:
+	// the nc pivot rows individually, then each distinct later support once
+	// (support hashes find the candidates, an exact comparison confirms).
+	rowOf := make([]int32, len(supports))
+	stored := make([][]int32, nc, 2*nc)
+	copy(stored, supports[:nc])
+	first := make(map[uint64]int32, nc)
+	for r := range rowOf {
+		if r < nc {
+			rowOf[r] = int32(r)
+			continue
+		}
+		h := supportHash(supports[r])
+		u, seen := first[h]
+		if !seen || !slices.Equal(stored[u], supports[r]) {
+			u = int32(len(stored))
+			stored = append(stored, supports[r])
+			if !seen {
+				first[h] = u
+			}
+		}
+		rowOf[r] = u
+	}
+	qr := linalg.NewQRSharedRows(denseRows(stored, nc), rowOf)
+	if qr.FullRank() {
+		f.qr = qr
+	} else {
+		f.minNorm = linalg.NewPivotedQRWorkers(denseRows(supports, nc), p.opts.pivotWorkers())
+	}
+	p.dense = f
+	return f, nil
+}
+
+// denseRows materializes the 0/1 augmented rows with the given supports.
+func denseRows(supports [][]int32, nc int) *linalg.Dense {
+	a := linalg.NewDense(len(supports), nc)
+	for r, support := range supports {
+		row := a.Row(r)
+		for _, k := range support {
+			row[k] = 1
+		}
+	}
+	return a
+}
+
+// supportHash is the 64-bit FNV-1a hash of a support's link indices.
+func supportHash(support []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, k := range support {
+		for b := 0; b < 4; b++ {
+			h ^= uint64(byte(uint32(k) >> (8 * b)))
+			h *= 1099511628211
+		}
+	}
+	return h
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"lia/internal/stats"
@@ -78,7 +80,7 @@ func TestPhase1MatchesEstimateVariances(t *testing.T) {
 						}
 					}
 				}
-				if wantWarm := pol != DropNegativeCov && method == VarianceNormalEquations; p1.Warm() != wantWarm {
+				if wantWarm := pol != DropNegativeCov; p1.Warm() != wantWarm {
 					t.Fatalf("%v/%v/w%d: Warm() = %v, want %v", method, pol, workers, p1.Warm(), wantWarm)
 				}
 			}
@@ -141,5 +143,103 @@ func TestGramBandsPartition(t *testing.T) {
 	}
 	if b := gramBands(rm, 1); len(b) != 2 {
 		t.Fatalf("one worker should get one band, got %v", b)
+	}
+}
+
+// TestPhase1DenseRankDeficientFallback: on a fluttering topology whose
+// augmented matrix is rank-deficient (more equations than links, rank one
+// short), the cached dense-QR solver caches the pivoted minimum-norm
+// fallback and stays bitwise-equal to EstimateVariances under clamp.
+func TestPhase1DenseRankDeficientFallback(t *testing.T) {
+	rm, err := topology.Build([]topology.Path{
+		{Beacon: 0, Dst: 1, Links: []int{0, 1, 2, 4}},
+		{Beacon: 0, Dst: 2, Links: []int{0, 1, 3, 5}},
+		{Beacon: 0, Dst: 3, Links: []int{0, 1, 3, 5}},
+		{Beacon: 0, Dst: 4, Links: []int{0, 2, 3, 6}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := AugmentedRank(rm); r != rm.NumLinks()-1 {
+		t.Fatalf("rank(A) = %d, want %d", r, rm.NumLinks()-1)
+	}
+	rng := rand.New(rand.NewPCG(5, 5))
+	truth := make([]float64, rm.NumLinks())
+	for k := range truth {
+		truth[k] = 0.01 * rng.Float64()
+	}
+	acc := syntheticSnapshots(rng, rm, truth, 80)
+	opts := VarianceOptions{Method: VarianceDenseQR}
+	p1 := NewPhase1(rm, opts)
+	for pass := 0; pass < 2; pass++ {
+		want, err := EstimateVariances(rm, acc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p1.Estimate(acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("pass %d link %d: cached fallback %g != EstimateVariances %g", pass, k, got[k], want[k])
+			}
+		}
+		acc = syntheticSnapshots(rng, rm, truth, 40)
+	}
+	if !p1.Warm() || p1.dense.minNorm == nil || p1.dense.qr != nil {
+		t.Fatal("rank-deficient A did not cache the pivoted fallback")
+	}
+}
+
+// TestPhase1ConcurrentDenseQR shares one dense-QR Phase1 across goroutines
+// that race to build the cached factor and then solve against different
+// moment states; every answer must be bitwise-equal to EstimateVariances.
+// Run under -race.
+func TestPhase1ConcurrentDenseQR(t *testing.T) {
+	rm, acc, more := phase1Workload(t, 61)
+	opts := VarianceOptions{Method: VarianceDenseQR}
+	covs := []*stats.CovAccumulator{acc, more}
+	want := make([][]float64, len(covs))
+	for c, cov := range covs {
+		v, err := EstimateVariances(rm, cov, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = v
+	}
+	p1 := NewPhase1(rm, opts)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for rep := 0; rep < 4; rep++ {
+				c := (g + rep) % len(covs)
+				got, err := p1.Estimate(covs[c])
+				if err != nil {
+					errs <- err
+					return
+				}
+				for k := range got {
+					if math.Float64bits(got[k]) != math.Float64bits(want[c][k]) {
+						errs <- fmt.Errorf("goroutine %d rep %d link %d: %g != %g", g, rep, k, got[k], want[c][k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if !p1.Warm() || p1.dense.qr == nil {
+		t.Fatal("dense-QR Phase1 did not cache its factor")
 	}
 }

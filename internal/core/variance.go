@@ -16,7 +16,8 @@ type VarianceMethod int
 
 const (
 	// VarianceAuto picks DenseQR for small systems and NormalEquations once
-	// the explicit A would be large.
+	// the explicit A would be large. Under clamp/keep Phase1 caches the
+	// topology-only factor of either method.
 	VarianceAuto VarianceMethod = iota
 	// VarianceDenseQR materializes A (non-zero rows only) and solves the
 	// least-squares problem with a Householder QR — the paper's reference
@@ -123,7 +124,7 @@ func (o VarianceOptions) budget() int {
 // resolveMethod turns VarianceAuto into a concrete solver choice for the
 // given routing matrix. The decision depends only on the topology (and the
 // options' dense budget), never on the measured data — which is what lets
-// Phase1 decide cacheability once per routing matrix.
+// Phase1 pick the factor to cache once per routing matrix.
 func (o VarianceOptions) resolveMethod(rm *topology.RoutingMatrix) VarianceMethod {
 	if o.Method != VarianceAuto {
 		return o.Method
@@ -144,8 +145,8 @@ func (o VarianceOptions) resolveMethod(rm *topology.RoutingMatrix) VarianceMetho
 // should clamp at zero, while the Phase-2 ordering uses the raw values.
 //
 // Long-running callers that rebuild repeatedly over the same routing matrix
-// should use Phase1, which caches the topology-only Gram factorization this
-// function recomputes from scratch on every call.
+// should use Phase1, which caches the topology-only factorization (Gram
+// Cholesky or dense QR) this function recomputes from scratch on every call.
 func EstimateVariances(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([]float64, error) {
 	if cov.Count() < 2 {
 		return nil, ErrTooFewSnapshots
@@ -203,6 +204,17 @@ func (o VarianceOptions) shardWorkers(npairs int) int {
 	return w
 }
 
+// pivotWorkers is the pool size of the pivoted-QR minimum-norm fallback:
+// the same worker pool as the rest of Phase 1 (pivoted QR is
+// bitwise-deterministic across worker counts), with negative values an
+// explicit serial request, matching shardWorkers.
+func (o VarianceOptions) pivotWorkers() int {
+	if o.Workers < 0 {
+		return 1
+	}
+	return o.Workers
+}
+
 func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([]float64, error) {
 	nc := rm.NumLinks()
 	rows, rhs := collectEquations(rm, cov, opts)
@@ -210,24 +222,13 @@ func estimateDense(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceO
 		return nil, fmt.Errorf("core: only %d usable covariance equations for %d links: %w",
 			len(rows), nc, ErrUnidentifiable)
 	}
-	a := linalg.NewDense(len(rows), nc)
-	for r, support := range rows {
-		for _, k := range support {
-			a.Set(r, int(k), 1)
-		}
-	}
+	a := denseRows(rows, nc)
 	v, err := linalg.SolveLeastSquares(a, rhs)
 	if errors.Is(err, linalg.ErrRankDeficient) {
 		// Dropped equations (DropNegativeCov) can cost full column rank;
 		// fall back to the minimum-norm basic solution, which resolves only
-		// the identifiable directions and zeroes the rest. The fallback
-		// factorization honors the same worker pool as the rest of Phase 1
-		// (pivoted QR is bitwise-deterministic across worker counts).
-		w := opts.Workers
-		if w < 0 {
-			w = 1 // explicit serial request, matching shardWorkers
-		}
-		return linalg.NewPivotedQRWorkers(a, w).SolveMinNorm(rhs), nil
+		// the identifiable directions and zeroes the rest.
+		return linalg.NewPivotedQRWorkers(a, opts.pivotWorkers()).SolveMinNorm(rhs), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: dense variance solve: %w", err)
@@ -279,6 +280,27 @@ func collectEquations(rm *topology.RoutingMatrix, cov stats.CovView, opts Varian
 		rhs = append(rhs, shardRHS[s]...)
 	}
 	return rows, rhs
+}
+
+// gatherRHS writes the adjusted covariances of every pair with a non-empty
+// support into dst in canonical pair order — under clamp/keep exactly the
+// right-hand side collectEquations builds. shardRow[s] is the dst offset of
+// pair shard s's first row, so shards fan out over the worker pool writing
+// disjoint ranges; there is no reduction, so the result does not depend on
+// the schedule.
+func gatherRHS(dst []float64, rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions, shardRow []int) {
+	npairs := rm.NumPairs()
+	par.Do(opts.shardWorkers(npairs), len(shardRow)-1, func(_, s int) {
+		r := shardRow[s]
+		lo := s * pairsPerShard
+		rm.VisitPairSupports(lo, min(lo+pairsPerShard, npairs), func(i, j int, support []int32) {
+			if len(support) == 0 {
+				return
+			}
+			dst[r], _ = opts.adjust(cov.Cov(i, j))
+			r++
+		})
+	})
 }
 
 func estimateNormal(rm *topology.RoutingMatrix, cov stats.CovView, opts VarianceOptions) ([]float64, error) {

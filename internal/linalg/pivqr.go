@@ -56,11 +56,12 @@ func NewPivotedQRWorkers(a *Dense, workers int) *PivotedQR {
 	// Column squared norms, updated as the factorization proceeds.
 	norms := make([]float64, n)
 	exact := make([]float64, n)
+	d := f.qr.data // row-major, stride n
 	initNorms := func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			var s float64
 			for i := 0; i < m; i++ {
-				v := f.qr.At(i, j)
+				v := d[i*n+j]
 				s += v * v
 			}
 			norms[j] = s
@@ -100,20 +101,20 @@ func NewPivotedQRWorkers(a *Dense, workers int) *PivotedQR {
 			exact[k], exact[best] = exact[best], exact[k]
 			f.perm[k], f.perm[best] = f.perm[best], f.perm[k]
 		}
-		f.tau[k] = houseColumn(f.qr, k, k)
+		f.tau[k] = houseColumn(f.qr, nil, m, k, k)
 		// Apply the reflector and downdate the column norms, chunked over the
 		// trailing columns; recompute a norm when cancellation bites (LAPACK
 		// dgeqpf). Each column's arithmetic is chunk-local, so the parallel
 		// and serial paths produce the same bits.
 		forChunks(k+1, func(lo, hi int, w []float64) {
-			applyHouseLeftCols(f.qr, k, k, f.tau[k], lo, hi, w)
+			applyHouseLeftCols(f.qr, nil, m, k, k, f.tau[k], lo, hi, w)
 			for j := lo; j < hi; j++ {
-				r := f.qr.At(k, j)
+				r := d[k*n+j]
 				norms[j] -= r * r
 				if norms[j] <= 1e-12*exact[j] || norms[j] < 0 {
 					var s float64
 					for i := k + 1; i < m; i++ {
-						v := f.qr.At(i, j)
+						v := d[i*n+j]
 						s += v * v
 					}
 					norms[j] = s
@@ -126,10 +127,10 @@ func NewPivotedQRWorkers(a *Dense, workers int) *PivotedQR {
 }
 
 func (f *PivotedQR) swapColumns(a, b int) {
+	d, n := f.qr.data, f.n
 	for i := 0; i < f.m; i++ {
-		va, vb := f.qr.At(i, a), f.qr.At(i, b)
-		f.qr.Set(i, a, vb)
-		f.qr.Set(i, b, va)
+		row := d[i*n : (i+1)*n]
+		row[a], row[b] = row[b], row[a]
 	}
 }
 

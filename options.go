@@ -39,7 +39,10 @@ type VarianceMethod = core.VarianceMethod
 
 const (
 	// VarianceAuto (default) picks dense QR for small systems and normal
-	// equations once the explicit augmented matrix would be large.
+	// equations once the explicit augmented matrix would be large. Either
+	// way an engine factors the topology-only system once and reuses the
+	// factor on every rebuild; only the normal-equations path additionally
+	// folds its right-hand side incrementally.
 	VarianceAuto VarianceMethod = core.VarianceAuto
 	// VarianceDenseQR materializes the augmented matrix and solves by
 	// Householder QR — the paper's reference method.

@@ -250,8 +250,9 @@ func TestEngineStatsDeltaRebuilds(t *testing.T) {
 	const window = 10
 	stream := shardSnapshots(rm, window+4, 3)
 
-	// The delta fold lives on the cacheable normal-equations path; a system
-	// this small would auto-pick dense QR, so pin the method.
+	// The delta fold lives on the normal-equations path (the cached dense-QR
+	// path gathers its right-hand side afresh each rebuild); a system this
+	// small would auto-pick dense QR, so pin the method.
 	check := func(t *testing.T, opt lia.Option, wantDelta func(i int) uint64) {
 		eng, err := lia.NewEngine(rm, opt, lia.WithVarianceMethod(lia.VarianceNormalEquations))
 		if err != nil {
