@@ -14,13 +14,15 @@
 // applied to the node IDs in sorted order, so the same topology and the
 // same node set always yield the same placement regardless of join order.
 //
-// The fleet degrades per component, mirroring ShardedEngine: a dead or
-// degraded node marks only its own components' links Unresolved while every
-// healthy component's estimates stay bitwise what they would be with no
-// failure anywhere. The coordinator supervises one ingest stream and one
-// epoch-watch stream per node, reconnecting with exponential backoff; a
-// node that rejoins (same ID, any address) is re-assigned its components
-// and resumes from the snapshots that arrive after it returns.
+// The fleet degrades per component exactly like ShardedEngine, because both
+// assemble answers and stats through the same gather core (lia.GatherResult,
+// lia.GatherSteady and lia.GatherStats): a dead or degraded node marks only
+// its own components' links Unresolved while every healthy component's
+// estimates stay bitwise what they would be with no failure anywhere. The
+// coordinator supervises one ingest stream and one epoch-watch stream per
+// node, reconnecting with exponential backoff; a node that rejoins (same
+// ID, any address) is re-assigned its components and resumes from the
+// snapshots that arrive after it returns.
 //
 // Wire protocol (HTTP JSON + NDJSON streaming, dependency-free):
 //
@@ -96,7 +98,7 @@ func (o EngineOptions) Options() ([]lia.Option, error) {
 	return opts, nil
 }
 
-// Threshold returns the effective congestion threshold the options select.
+// threshold returns the effective congestion threshold the options select.
 func (o EngineOptions) threshold() float64 {
 	if o.ThresholdSet {
 		return o.Threshold

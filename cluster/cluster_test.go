@@ -430,6 +430,35 @@ func TestFleetNodeDeathAndRejoin(t *testing.T) {
 		}
 	}
 
+	// The steady-state read paths degrade the same links the same way.
+	steady, err := tc.fleet.Steady(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(steady.Unresolved, res.Unresolved) {
+		t.Errorf("Steady unresolved %v, Infer unresolved %v", steady.Unresolved, res.Unresolved)
+	}
+	vars, err := tc.fleet.Variances(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, removed, err := tc.fleet.Eliminated(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partitioned := map[int]bool{}
+	for _, k := range append(append([]int(nil), kept...), removed...) {
+		partitioned[k] = true
+	}
+	for _, k := range res.Unresolved {
+		if vars[k] != 0 {
+			t.Errorf("dead node's link %d has variance %g, want 0", k, vars[k])
+		}
+		if partitioned[k] {
+			t.Errorf("dead node's link %d is in Eliminated's kept/removed", k)
+		}
+	}
+
 	// The watch stream notices the death and the degradation surfaces.
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -39,11 +39,10 @@ type FleetConfig struct {
 }
 
 // fleetComponent is one link-connected component as the coordinator sees
-// it: the scatter/gather index maps plus the wire-ready path documents the
-// owning node rebuilds its engine from.
+// it: the scatter index map plus the wire-ready path documents the owning
+// node rebuilds its engine from (the gather's link map is Fleet.links).
 type fleetComponent struct {
 	paths []int     // global path (row) indices, ascending
-	links []int     // local virtual link -> global virtual link
 	docs  []PathDoc // the component's paths, global row order preserved
 }
 
@@ -153,9 +152,10 @@ func (nc *nodeClient) scatter(y []float64, paths []int) []float64 {
 // it implements lia.Inferencer — the same surface serve.Server drives for
 // a single-process engine — by scattering ingested snapshots to the nodes
 // owning each link-connected component and gathering their per-component
-// results back into global link order, with ShardedEngine's exact
-// degradation semantics (a dead or failing component marks only its own
-// links Unresolved).
+// results back into global link order. The Fleet owns placement and the
+// per-node HTTP transport; the assembly itself is lia's gather core, the
+// one ShardedEngine uses, so the degradation semantics are the same code
+// (a dead or failing component marks only its own links Unresolved).
 //
 // Construct with NewFleet, expose Handler on the coordinator's listener so
 // nodes can register, and Close when done. Until Size nodes have
@@ -165,6 +165,7 @@ type Fleet struct {
 	rm    *lia.RoutingMatrix
 	part  *lia.Partition
 	comps []fleetComponent
+	links [][]int // per component: local virtual link -> global virtual link
 	cfg   FleetConfig
 
 	ctx    context.Context
@@ -217,6 +218,7 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 		rm:     rm,
 		part:   part,
 		comps:  make([]fleetComponent, part.NumComponents()),
+		links:  make([][]int, part.NumComponents()),
 		cfg:    cfg,
 		nodes:  make(map[string]*nodeClient),
 		owners: make([]*nodeClient, part.NumComponents()),
@@ -231,7 +233,8 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 				p := rm.Path(pg)
 				docs[i] = PathDoc{Beacon: p.Beacon, Dst: p.Dst, Links: p.Links}
 			}
-			f.comps[c] = fleetComponent{paths: comp.Paths, links: links, docs: docs}
+			f.comps[c] = fleetComponent{paths: comp.Paths, docs: docs}
+			f.links[c] = links
 		}
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
@@ -365,7 +368,7 @@ func (f *Fleet) assignRequest(nc *nodeClient) AssignRequest {
 	for _, c := range comps {
 		req.Components = append(req.Components, ComponentAssignment{
 			Component: c,
-			Links:     f.comps[c].links,
+			Links:     f.links[c],
 			Paths:     f.comps[c].docs,
 		})
 	}
@@ -691,9 +694,10 @@ func (f *Fleet) placedNodes() ([]*nodeClient, error) {
 }
 
 // gather fans one query out to every owning node concurrently and collects
-// per-component results and errors in component-index order. query returns
-// the node's GatherResponse; a whole-node failure charges every component
-// the node owns.
+// per-component results and errors in component-index order, for the
+// lia.GatherResult/GatherSteady assembly. query returns the node's
+// GatherResponse; a whole-node failure charges every component the node
+// owns.
 func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *nodeClient) (*GatherResponse, error)) ([]*ComponentResult, []error, error) {
 	nodes, err := f.placedNodes()
 	if err != nil {
@@ -735,39 +739,7 @@ func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *
 		}(nc)
 	}
 	wg.Wait()
-	if err := gatherErr(ctx, errs); err != nil {
-		return nil, nil, err
-	}
 	return results, errs, nil
-}
-
-// gatherErr mirrors lia's sharded gather semantics: caller cancellation
-// always propagates, a gather where every component failed surfaces the
-// joined error (preserving cold-start sentinels — warm-up is synchronized,
-// all components fail together), any other mix degrades only the failing
-// components.
-func gatherErr(ctx context.Context, errs []error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err == nil {
-			return nil
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// globalEpoch reduces healthy per-component epochs to the gathered view's
-// epoch: the minimum (oldest state any component served).
-func globalEpoch(epochs []int) int {
-	min := epochs[0]
-	for _, e := range epochs[1:] {
-		if e < min {
-			min = e
-		}
-	}
-	return min
 }
 
 // inferNode posts one node its projection of the observation vector.
@@ -815,37 +787,14 @@ func (f *Fleet) Infer(ctx context.Context, y []float64) (*lia.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nc := f.rm.NumLinks()
-	out := &lia.Result{
-		LossRates: make([]float64, nc),
-		LogRates:  make([]float64, nc),
-		Variances: make([]float64, nc),
-	}
-	var epochs []int
+	parts := make([]*lia.Result, len(results))
 	for c, cr := range results {
-		links := f.comps[c].links
-		if errs[c] != nil {
-			out.Unresolved = append(out.Unresolved, links...)
-			continue
+		if cr != nil {
+			parts[c] = &lia.Result{LossRates: cr.LossRates, LogRates: cr.LogRates, Variances: cr.Variances,
+				Kept: cr.Kept, Removed: cr.Removed, Epoch: cr.Epoch}
 		}
-		for kl, kg := range links {
-			out.LossRates[kg] = cr.LossRates[kl]
-			out.LogRates[kg] = cr.LogRates[kl]
-			out.Variances[kg] = cr.Variances[kl]
-		}
-		for _, kl := range cr.Kept {
-			out.Kept = append(out.Kept, links[kl])
-		}
-		for _, kl := range cr.Removed {
-			out.Removed = append(out.Removed, links[kl])
-		}
-		epochs = append(epochs, cr.Epoch)
 	}
-	sort.Ints(out.Kept)
-	sort.Ints(out.Removed)
-	sort.Ints(out.Unresolved)
-	out.Epoch = globalEpoch(epochs)
-	return out, nil
+	return lia.GatherResult(ctx, f.rm.NumLinks(), f.links, parts, errs)
 }
 
 // InferCongested runs Infer and classifies every virtual link against the
@@ -866,30 +815,13 @@ func (f *Fleet) Steady(ctx context.Context) (*lia.SteadyState, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &lia.SteadyState{Variances: make([]float64, f.rm.NumLinks())}
-	var epochs []int
+	parts := make([]*lia.SteadyState, len(results))
 	for c, cr := range results {
-		links := f.comps[c].links
-		if errs[c] != nil {
-			out.Unresolved = append(out.Unresolved, links...)
-			continue
+		if cr != nil {
+			parts[c] = &lia.SteadyState{Variances: cr.Variances, Kept: cr.Kept, Removed: cr.Removed, Epoch: cr.Epoch}
 		}
-		for kl, v := range cr.Variances {
-			out.Variances[links[kl]] = v
-		}
-		for _, kl := range cr.Kept {
-			out.Kept = append(out.Kept, links[kl])
-		}
-		for _, kl := range cr.Removed {
-			out.Removed = append(out.Removed, links[kl])
-		}
-		epochs = append(epochs, cr.Epoch)
 	}
-	sort.Ints(out.Kept)
-	sort.Ints(out.Removed)
-	sort.Ints(out.Unresolved)
-	out.Epoch = globalEpoch(epochs)
-	return out, nil
+	return lia.GatherSteady(ctx, f.rm.NumLinks(), f.links, parts, errs)
 }
 
 // Variances returns the Phase-1 per-link variance estimates in global link
@@ -966,10 +898,13 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 	return out
 }
 
-// Stats aggregates the fleet's observability counters in the sharded
-// engine's shape: Components is the partition size, Shards the number of
-// nodes carrying components, and the degradation surface counts components
-// that are failing or whose owner is unreachable.
+// Stats aggregates the fleet's observability counters through the same
+// fold as ShardedEngine.Stats (lia.GatherStats): Components is the
+// partition size, Shards the number of nodes carrying components, and the
+// degradation surface counts components that are failing or whose owner is
+// unreachable. DirtyComponents counts the healthy components whose state
+// trails their snapshots, and LastError is the first degraded component's —
+// for a dead node, the "node ... unreachable" that /readyz reports.
 func (f *Fleet) Stats() lia.Stats {
 	f.mu.Lock()
 	placed := f.placed
@@ -980,48 +915,25 @@ func (f *Fleet) Stats() lia.Stats {
 		}
 	}
 	f.mu.Unlock()
-	s := lia.Stats{
-		Snapshots:  f.Snapshots(),
-		StateEpoch: -1,
-		Shards:     shards,
-		Components: len(f.comps),
-		Window:     f.cfg.Options.Window,
-		Decay:      f.cfg.Options.Decay,
-	}
-	if !placed {
-		s.EpochLag = s.Snapshots
-		s.Degraded = true
-		s.DegradedComponents = len(f.comps)
-		return s
-	}
-	oldest := -1
-	for c, cs := range f.ComponentStats() {
-		s.Rebuilds += cs.Rebuilds
-		s.ElimReuses += cs.ElimReuses
-		s.RebuildFailures += cs.RebuildFailures
-		s.DeltaRebuilds += cs.DeltaRebuilds
-		if cs.EpochLag > 0 && !cs.Degraded {
-			s.DirtyComponents++
-		}
-		if cs.Degraded {
-			s.DegradedComponents++
-			if cs.LastError != "" && s.LastError == "" {
+	snapshots := f.Snapshots()
+	var s lia.Stats
+	if placed {
+		comps := f.ComponentStats()
+		s = lia.GatherStats(snapshots, comps)
+		for _, cs := range comps {
+			if cs.EpochLag > 0 && !cs.Degraded {
+				s.DirtyComponents++
+			}
+			if cs.Degraded && s.LastError == "" {
 				s.LastError = cs.LastError
 			}
 		}
-		if c == 0 || cs.StateEpoch < oldest {
-			oldest = cs.StateEpoch
-		}
-	}
-	s.Degraded = s.DegradedComponents > 0
-	s.StateEpoch = oldest
-	if s.StateEpoch >= 0 {
-		if s.EpochLag = s.Snapshots - s.StateEpoch; s.EpochLag < 0 {
-			s.EpochLag = 0
-		}
 	} else {
-		s.EpochLag = s.Snapshots
+		s = lia.Stats{Snapshots: snapshots, StateEpoch: -1, EpochLag: snapshots,
+			Degraded: true, DegradedComponents: len(f.comps)}
 	}
+	s.Shards, s.Components = shards, len(f.comps)
+	s.Window, s.Decay = f.cfg.Options.Window, f.cfg.Options.Decay
 	return s
 }
 

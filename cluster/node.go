@@ -485,7 +485,7 @@ func (n *Node) event(typ string) NodeEvent {
 	ev.Snapshots = int(p.epoch.Load())
 	for c, nc := range p.comps {
 		cs := nc.eng.Stats()
-		degraded := cs.Degraded || (cs.StateEpoch < 0 && cs.RebuildFailures > 0)
+		degraded := cs.Unhealthy()
 		ev.Components = append(ev.Components, ComponentState{
 			Component:       nc.component,
 			Snapshots:       cs.Snapshots,

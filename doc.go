@@ -131,12 +131,14 @@
 // placement is deterministic and independent of join order), scatters each
 // ingested snapshot's per-component projections over persistent streaming
 // connections, and gathers Infer/Links/Status from the fleet back into
-// global link order. Because the decomposition is exact, the gathered
-// estimates are bitwise-identical to a single process on the same
-// snapshots — for any node count. Degradation stays per-component: an
-// unreachable node marks only the links it hosts Unresolved while the
-// rest of the fleet keeps serving, /readyz names the missing node, and a
-// node that rejoins under the same identity is re-placed and re-fed.
+// global link order through the same gather core ShardedEngine uses
+// (GatherResult, GatherSteady, GatherStats). Because the decomposition is
+// exact, the gathered estimates are bitwise-identical to a single process
+// on the same snapshots — for any node count. Degradation stays
+// per-component: an unreachable node marks only the links it hosts
+// Unresolved while the rest of the fleet keeps serving, /readyz names the
+// missing node, and a node that rejoins under the same identity is
+// re-placed and re-fed.
 //
 // The lia/world subpackage is the adversary those layers are tested
 // against: a long-running, seeded-deterministic world server whose

@@ -511,13 +511,7 @@ func (e *Engine) Stats() Stats {
 		// checkpointed wall time — report that age, not zero.
 		s.StateAge = time.Since(time.Unix(0, ns))
 	}
-	if s.StateEpoch >= 0 {
-		if s.EpochLag = s.Snapshots - s.StateEpoch; s.EpochLag < 0 {
-			s.EpochLag = 0 // counters raced; lag is defined non-negative
-		}
-	} else {
-		s.EpochLag = s.Snapshots
-	}
+	s.EpochLag = epochLag(s.Snapshots, s.StateEpoch)
 	return s
 }
 

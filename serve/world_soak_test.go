@@ -175,9 +175,13 @@ func TestWorldRegimeShiftSoak(t *testing.T) {
 
 	// Phase 3 — run deep into the new regime: enough that the window holds
 	// only post-shift snapshots (ticks equal ingestion indices, since these
-	// scenarios have exactly one consumer each).
+	// scenarios have exactly one consumer each). prefix is fixed by the
+	// schedule, not by how far ingestion runs before the feed is cancelled:
+	// the mixed-regime comparison below ends exactly here. Row i of the
+	// recorded stream is tick i, so rows from shiftWin on are post-shift.
+	prefix := shiftWin + window + 32
 	waitFor("post-shift ingestion", func() bool {
-		return engWin.Snapshots() >= shiftWin+window+32 && engDec.Snapshots() >= shiftDec+window+32
+		return engWin.Snapshots() >= prefix && engDec.Snapshots() >= shiftDec+window+32
 	})
 	// The served state must have stayed ready straight through the shift.
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -278,24 +282,39 @@ func TestWorldRegimeShiftSoak(t *testing.T) {
 		t.Fatalf("refreshed watcher variance %g != engine %g", wVars[vShared], postVars[vShared])
 	}
 
-	// A cumulative engine over the full mixed stream does NOT converge to
-	// the within-regime variance: the regime shift moves the mean, so the
+	// A cumulative engine over the mixed stream does NOT converge to the
+	// within-regime variance: the regime shift moves the mean, so the
 	// mixture variance overshoots by the between-regime term. That gap is
-	// what windowing buys.
+	// what windowing buys. Both sides are fixed by the schedule, not by
+	// ingestion timing: the cumulative engine reads one window of pre-shift
+	// history (ingestion ran an unknown distance before the shift was
+	// scheduled) plus the post-shift run up to prefix, and the windowed
+	// reference replays the last window before prefix.
 	cum, err := lia.NewEngine(rm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cum.IngestBatch(ys); err != nil {
+	if err := cum.IngestBatch(ys[shiftWin-window : prefix]); err != nil {
 		t.Fatal(err)
 	}
 	cumVars, err := cum.Variances(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cumVars[vShared] < 2*postVars[vShared] {
-		t.Fatalf("cumulative variance %g vs windowed %g — expected the mixed-regime estimate to overshoot the within-regime one by ≥ 2x",
-			cumVars[vShared], postVars[vShared])
+	win, err := lia.NewEngine(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := win.IngestBatch(ys[prefix-window : prefix]); err != nil {
+		t.Fatal(err)
+	}
+	winVars, err := win.Variances(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cumVars[vShared] < 2*winVars[vShared] {
+		t.Fatalf("cumulative variance %g over snapshots [%d, %d) vs windowed %g — expected the mixed-regime estimate to overshoot the within-regime one by ≥ 2x",
+			cumVars[vShared], shiftWin-window, prefix, winVars[vShared])
 	}
 
 	// The decayed engine forgets the old regime geometrically and lands in
