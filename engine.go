@@ -365,8 +365,9 @@ func (e *Engine) rebuild(ctx context.Context) (st *phaseState, epoch uint64, err
 	// new epoch's ordering matches the previous state's, the kept/removed
 	// partition is reused verbatim — identical, not approximately so, to the
 	// from-scratch elimination. With m snapshots already learned, one more
-	// rarely reorders the variances, and the rank-test search now dominating
-	// warm rebuilds is skipped entirely.
+	// rarely reorders the variances, and the elimination (one Gram–Schmidt
+	// walk plus two rank tests) is skipped entirely. Under live traffic
+	// the order can change at every epoch, so misses must stay cheap too.
 	order := core.VarianceOrder(vars)
 	var kept, removed []int
 	if prev := e.state.Load(); prev != nil && intsEqual(prev.order, order) {

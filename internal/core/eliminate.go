@@ -17,8 +17,11 @@ const (
 	// EliminatePaperSequential is the algorithm exactly as printed in the
 	// paper: repeatedly remove the remaining column with the smallest
 	// variance until R* has full column rank. Because independence of a
-	// column suffix is monotone in the number of removals, the loop is
-	// implemented as a binary search over the ascending-variance order.
+	// column suffix is monotone in the number of removals, the loop's end
+	// state is the boundary of a binary search over the ascending-variance
+	// order. One Gram–Schmidt walk from the highest variance down guesses
+	// that boundary and two rank tests confirm it, in place of the about
+	// log2(nc) rank tests of a plain bisection.
 	EliminatePaperSequential Elimination = iota
 	// EliminateGreedyBasis builds R* greedily from the highest-variance
 	// column down, keeping a column only if it is linearly independent of
@@ -46,7 +49,9 @@ func Eliminate(rm *topology.RoutingMatrix, variances []float64, strategy Elimina
 
 // EliminateWorkers is Eliminate with the rank tests of the paper-sequential
 // strategy running the pivoted-QR factorization over a worker pool (0 sizes
-// it to GOMAXPROCS, ≤ 1 runs serial). The factorization's column updates are
+// it to GOMAXPROCS, ≤ 1 runs serial). The Gram–Schmidt walk that guesses the
+// boundary is serial; the rank tests confirming it (and any search a wrong
+// guess leaves open) use the pool. The factorization's column updates are
 // independent, so results are bitwise-identical across worker counts.
 func EliminateWorkers(rm *topology.RoutingMatrix, variances []float64, strategy Elimination, workers int) (kept, removed []int) {
 	nc := rm.NumLinks()
@@ -74,10 +79,11 @@ func EliminateWorkers(rm *topology.RoutingMatrix, variances []float64, strategy 
 
 // VarianceOrder returns the link indices sorted by (variance, index) —
 // ascending, ties broken by index. Both elimination strategies are pure
-// functions of this permutation and the routing matrix: sequentialSuffix
-// binary-searches over suffixes of it and greedyBasis walks it in reverse,
-// neither reads the variance values again. Callers (lia.Engine) exploit
-// that to reuse a cached elimination across epochs whose orderings match.
+// functions of this permutation and the routing matrix: both walk it in
+// reverse through Gram–Schmidt, sequentialSuffix then confirming the walk's
+// boundary with rank tests over suffixes of it; neither reads the variance
+// values again. Callers (lia.Engine) exploit that to reuse a cached
+// elimination across epochs whose orderings match.
 func VarianceOrder(variances []float64) []int {
 	return ascendingByVariance(variances)
 }
@@ -100,11 +106,23 @@ func ascendingByVariance(variances []float64) []int {
 
 // sequentialSuffix finds the smallest t such that the columns with the
 // (nc−t) largest variances are linearly independent — exactly the state the
-// paper's remove-smallest loop terminates in — via binary search (suffix
-// independence is monotone in t).
+// paper's remove-smallest loop terminates in. One Gram–Schmidt walk down the
+// descending-variance order guesses t from the length of its leading run of
+// independent columns. The guess seeds the rank-test bisection, which
+// confirms it with two rank tests and searches on only if they disagree.
 func sequentialSuffix(rm *topology.RoutingMatrix, variances []float64, workers int) []int {
-	nc := rm.NumLinks()
 	order := ascendingByVariance(variances)
+	guess := len(order) - len(descendingBasis(rm, order, true))
+	t := suffixBoundary(rm, order, guess, workers)
+	return append([]int(nil), order[t:]...)
+}
+
+// suffixBoundary returns the smallest t for which the columns order[t:] are
+// linearly independent by the pivoted-QR rank test, searching [nc − rank(R),
+// nc] from the seed guess (suffix independence is monotone in t). Any guess
+// yields the same t; a good one costs two rank tests.
+func suffixBoundary(rm *topology.RoutingMatrix, order []int, guess, workers int) int {
+	nc := len(order)
 	suffixIndependent := func(t int) bool {
 		cols := order[t:]
 		if len(cols) == 0 {
@@ -117,62 +135,87 @@ func sequentialSuffix(rm *topology.RoutingMatrix, variances []float64, workers i
 		return linalg.RankWorkers(sub, workers) == len(cols)
 	}
 	// Lower bound: at least nc − rank(R) columns must go.
-	lo := nc - rm.Rank()
-	hi := nc
-	if suffixIndependent(lo) {
-		hi = lo
+	return bisectSuffix(nc-rm.Rank(), nc, guess, suffixIndependent)
+}
+
+// bisectSuffix returns the smallest t in [lo, hi] with independent(t), for a
+// predicate monotone in t that holds at hi. It first tests the guess
+// (clamped into the bracket) and its predecessor: when the guess is the
+// boundary those two tests settle the answer, otherwise their outcomes
+// narrow [lo, hi] before the plain bisection finishes.
+func bisectSuffix(lo, hi, guess int, independent func(t int) bool) int {
+	g := min(max(guess, lo), hi)
+	if g < hi {
+		if independent(g) {
+			hi = g
+		} else {
+			lo = g + 1
+		}
+	}
+	if hi == g && lo < g {
+		if independent(g - 1) {
+			hi = g - 1
+		} else {
+			lo = g
+		}
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if suffixIndependent(mid) {
+		if independent(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return append([]int(nil), order[hi:]...)
+	return hi
 }
 
-// greedyBasis performs modified Gram–Schmidt over columns in descending
-// variance order, keeping every column that adds a new direction.
+// greedyBasis keeps every column that adds a new direction, walking the
+// columns in descending variance order.
 func greedyBasis(rm *topology.RoutingMatrix, variances []float64) []int {
+	return descendingBasis(rm, ascendingByVariance(variances), false)
+}
+
+// descendingBasis walks the columns of R from the end of the ascending
+// order (highest variance first) through two rounds of modified
+// Gram–Schmidt and returns, in walk order, the columns that add a new
+// direction to those kept before them. With untilDependent the walk stops
+// at the first column that does not, so the result is the leading
+// independent run. The orthonormal basis grows one np-vector at a time in
+// a flat buffer, bounded by rank(R)·np.
+func descendingBasis(rm *topology.RoutingMatrix, order []int, untilDependent bool) []int {
 	np := rm.NumPaths()
-	order := ascendingByVariance(variances)
-	// Descending.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	var basis [][]float64
+	var basis []float64
 	var kept []int
 	col := make([]float64, np)
 	tol := 1e-9 * math.Sqrt(float64(np))
-	for _, k := range order {
-		for i := range col {
-			col[i] = 0
-		}
+	for w := len(order) - 1; w >= 0; w-- {
+		k := order[w]
+		clear(col)
 		for _, p := range rm.PathsThrough(k) {
 			col[p] = 1
 		}
-		norm0 := linalg.Norm2(col)
-		if norm0 == 0 {
-			continue
-		}
-		// Two rounds of MGS for numerical safety.
-		for round := 0; round < 2; round++ {
-			for _, q := range basis {
-				d := linalg.Dot(q, col)
-				for i := range col {
-					col[i] -= d * q[i]
+		if norm0 := linalg.Norm2(col); norm0 > 0 {
+			// Two rounds of MGS for numerical safety.
+			for round := 0; round < 2; round++ {
+				for off := 0; off < len(basis); off += np {
+					q := basis[off : off+np]
+					d := linalg.Dot(q, col)
+					for i := range col {
+						col[i] -= d * q[i]
+					}
 				}
 			}
-		}
-		if n := linalg.Norm2(col); n > tol*norm0 {
-			q := make([]float64, np)
-			for i := range col {
-				q[i] = col[i] / n
+			if n := linalg.Norm2(col); n > tol*norm0 {
+				for _, v := range col {
+					basis = append(basis, v/n)
+				}
+				kept = append(kept, k)
+				continue
 			}
-			basis = append(basis, q)
-			kept = append(kept, k)
+		}
+		if untilDependent {
+			break
 		}
 	}
 	return kept

@@ -48,6 +48,11 @@ type RoutingMatrix struct {
 	pairOnce sync.Once
 	pairs    *pairIndex
 	pairsErr error
+
+	// rankOnce guards the lazy computation of rank, the numerical rank of
+	// R. R is immutable after Build, so the rank is a topology constant.
+	rankOnce sync.Once
+	rank     int
 }
 
 // pairIndex is a CSR-style packed index of path-pair → shared virtual links:
@@ -202,26 +207,23 @@ func (rm *RoutingMatrix) Dense() *linalg.Dense {
 }
 
 // DenseColumns materializes the sub-matrix of R restricted to the given
-// virtual-link columns (in the given order).
+// virtual-link columns (in the given order): column j of the result is
+// column cols[j] of R, filled from the link's path list.
 func (rm *RoutingMatrix) DenseColumns(cols []int) *linalg.Dense {
-	pos := make(map[int]int, len(cols))
-	for j, k := range cols {
-		pos[k] = j
-	}
 	d := linalg.NewDense(rm.NumPaths(), len(cols))
-	for i, row := range rm.rows {
-		for _, k := range row {
-			if j, ok := pos[k]; ok {
-				d.Set(i, j, 1)
-			}
+	for j, k := range cols {
+		for _, i := range rm.cols[k] {
+			d.Set(i, j, 1)
 		}
 	}
 	return d
 }
 
-// Rank returns the numerical rank of R.
+// Rank returns the numerical rank of R. It is computed on first use and
+// memoised; safe for concurrent callers.
 func (rm *RoutingMatrix) Rank() int {
-	return linalg.Rank(rm.Dense())
+	rm.rankOnce.Do(func() { rm.rank = linalg.Rank(rm.Dense()) })
+	return rm.rank
 }
 
 // IntersectRows returns the sorted intersection of the virtual-link sets of

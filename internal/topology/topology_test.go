@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"lia/internal/linalg"
 )
 
 // figure1Paths builds the single-beacon example of Figure 1 of the paper:
@@ -170,18 +172,69 @@ func TestDenseMatchesRows(t *testing.T) {
 }
 
 func TestDenseColumnsSubset(t *testing.T) {
+	check := func(rm *RoutingMatrix, cols []int) {
+		t.Helper()
+		all := rm.Dense()
+		sub := rm.DenseColumns(cols)
+		if r, c := sub.Dims(); r != rm.NumPaths() || c != len(cols) {
+			t.Fatalf("DenseColumns(%v) is %dx%d, want %dx%d", cols, r, c, rm.NumPaths(), len(cols))
+		}
+		for i := 0; i < rm.NumPaths(); i++ {
+			for j, k := range cols {
+				if sub.At(i, j) != all.At(i, k) {
+					t.Fatalf("DenseColumns(%v) mismatch at (%d,%d)", cols, i, j)
+				}
+			}
+		}
+	}
 	rm, err := Build(figure1Paths())
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := rm.Dense()
-	cols := []int{2, 0}
-	sub := rm.DenseColumns(cols)
-	for i := 0; i < rm.NumPaths(); i++ {
-		for j, k := range cols {
-			if sub.At(i, j) != all.At(i, k) {
-				t.Fatalf("DenseColumns mismatch at (%d,%d)", i, j)
+	check(rm, []int{2, 0})
+	// Shuffled subsets of a larger matrix, every entry compared.
+	rng := rand.New(rand.NewPCG(47, 48))
+	if rm, err = Build(randomPaths(rng, 40)); err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 20; trial++ {
+		check(rm, rng.Perm(rm.NumLinks())[:rng.IntN(rm.NumLinks())+1])
+	}
+}
+
+// TestRoutingMatrixRankMemo checks the memoised rank against a fresh
+// pivoted-QR rank of the dense R, with the first calls racing on 8
+// goroutines (run under -race).
+func TestRoutingMatrixRankMemo(t *testing.T) {
+	rng := rand.New(rand.NewPCG(49, 50))
+	twoBeacons := append(starPaths(0, 0, 6), starPaths(0, 1, 6)...)
+	for name, paths := range map[string][]Path{
+		"figure1":    figure1Paths(),
+		"random":     randomPaths(rng, 60),
+		"twoBeacons": twoBeacons,
+	} {
+		rm, err := Build(paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := linalg.Rank(rm.Dense())
+		got := make([]int, 8)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				got[w] = rm.Rank()
+			}(w)
+		}
+		wg.Wait()
+		for w, r := range got {
+			if r != want {
+				t.Fatalf("%s: goroutine %d saw rank %d, want %d", name, w, r, want)
 			}
+		}
+		if r := rm.Rank(); r != want {
+			t.Fatalf("%s: memoised rank %d, want %d", name, r, want)
 		}
 	}
 }
