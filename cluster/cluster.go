@@ -7,22 +7,24 @@
 //
 // The decomposition is the same one lia.ShardedEngine exploits in-process:
 // no covariance equation and no elimination decision couples two
-// components, so a node running a plain engine per assigned component
-// produces estimates bitwise-identical to a single lia.New engine fed the
-// same snapshots — the cluster changes where the arithmetic runs, never its
+// components, so a node running one lia.New engine over its assigned
+// components' paths (a ShardedEngine when it carries several) produces
+// estimates bitwise-identical to a single lia.New engine fed the same
+// snapshots — the cluster changes where the arithmetic runs, never its
 // result. Placement is the deterministic LPT grouping of Partition.Shards
 // applied to the node IDs in sorted order, so the same topology and the
 // same node set always yield the same placement regardless of join order.
 //
 // The fleet degrades per component exactly like ShardedEngine, because both
 // assemble answers and stats through the same gather core (lia.GatherResult,
-// lia.GatherSteady and lia.GatherStats): a dead or degraded node marks only
-// its own components' links Unresolved while every healthy component's
-// estimates stay bitwise what they would be with no failure anywhere. The
-// coordinator supervises one ingest stream and one epoch-watch stream per
-// node, reconnecting with exponential backoff; a node that rejoins (same
-// ID, any address) is re-assigned its components and resumes from the
-// snapshots that arrive after it returns.
+// lia.GatherSteady and lia.GatherStats): the fleet gathers one part per node,
+// each node's engine gathers its own components, and a dead node or a
+// degraded component marks only its own links Unresolved while every
+// healthy component's estimates stay bitwise what they would be with no
+// failure anywhere. The coordinator supervises one ingest stream and one
+// epoch-watch stream per node, reconnecting with exponential backoff; a
+// node that rejoins (same ID, any address) is re-assigned its components
+// and resumes from the snapshots that arrive after it returns.
 //
 // Wire protocol (HTTP JSON + NDJSON streaming, dependency-free):
 //
@@ -126,14 +128,25 @@ type RegisterResponse struct {
 }
 
 // ComponentAssignment is one link-connected component handed to a node: its
-// global component index, the component's paths (global row order
-// preserved — the node rebuilds the exact reduced matrix the coordinator's
-// Partition.ComponentMatrix validated), and the global virtual-link indices
-// its local links map back to, for observability.
+// global component index and its paths, global row order preserved. A node
+// concatenates its components' paths into one routing matrix (nodeMatrix).
 type ComponentAssignment struct {
 	Component int       `json:"component"`
-	Links     []int     `json:"links"`
 	Paths     []PathDoc `json:"paths"`
+}
+
+// nodeMatrix builds the routing matrix a node runs: its assigned
+// components' paths concatenated in assignment order. The coordinator calls
+// it too, to map the node's virtual links back to global ones — Build is
+// deterministic, so both sides see the same link order.
+func nodeMatrix(comps []ComponentAssignment) (*lia.RoutingMatrix, error) {
+	var paths []lia.Path
+	for _, ca := range comps {
+		for _, pd := range ca.Paths {
+			paths = append(paths, lia.Path{Beacon: pd.Beacon, Dst: pd.Dst, Links: pd.Links})
+		}
+	}
+	return lia.NewTopology(paths)
 }
 
 // AssignRequest is the body of POST /cluster/v1/assign: the coordinator
@@ -178,37 +191,33 @@ type InferRequest struct {
 	Y []float64 `json:"y"`
 }
 
-// ComponentResult is one component's slice of a gathered response, in the
-// component's local link order (the coordinator owns the local->global
-// map). A failing component reports Error/ErrorCode instead of values.
-type ComponentResult struct {
-	Component int       `json:"component"`
-	Epoch     int       `json:"epoch"`
-	LossRates []float64 `json:"loss_rates,omitempty"`
-	LogRates  []float64 `json:"log_rates,omitempty"`
-	Variances []float64 `json:"variances,omitempty"`
-	Kept      []int     `json:"kept,omitempty"`
-	Removed   []int     `json:"removed,omitempty"`
-	Error     string    `json:"error,omitempty"`
-	ErrorCode string    `json:"error_code,omitempty"`
-}
-
 // GatherResponse is the body of /cluster/v1/infer and /cluster/v1/steady:
-// every assigned component's result (or error), plus the node's snapshot
-// count.
+// the node engine's answer in the node's own link order (the coordinator
+// owns the node->global link map), plus the node's snapshot count. Links of
+// a failed component on the node are listed in Unresolved; a node whose
+// every component failed answers with an ErrorResponse instead.
 type GatherResponse struct {
-	NodeID     string            `json:"node_id"`
-	Assignment uint64            `json:"assignment"`
-	Snapshots  int               `json:"snapshots"`
-	Components []ComponentResult `json:"components"`
+	NodeID     string    `json:"node_id"`
+	Assignment uint64    `json:"assignment"`
+	Snapshots  int       `json:"snapshots"`
+	Epoch      int       `json:"epoch"`
+	LossRates  []float64 `json:"loss_rates,omitempty"`
+	LogRates   []float64 `json:"log_rates,omitempty"`
+	Variances  []float64 `json:"variances,omitempty"`
+	Kept       []int     `json:"kept,omitempty"`
+	Removed    []int     `json:"removed,omitempty"`
+	Unresolved []int     `json:"unresolved,omitempty"`
 }
 
 // ComponentState is one component's learning state in a NodeEvent or stats
 // response.
 type ComponentState struct {
-	Component       int    `json:"component"`
-	Snapshots       int    `json:"snapshots"`
-	StateEpoch      int    `json:"state_epoch"`
+	Component  int `json:"component"`
+	Snapshots  int `json:"snapshots"`
+	StateEpoch int `json:"state_epoch"`
+	// EpochLag is the component engine's own Snapshots − StateEpoch,
+	// clamped non-negative (every snapshot while no state is built).
+	EpochLag        int    `json:"epoch_lag"`
 	Rebuilds        uint64 `json:"rebuilds"`
 	ElimReuses      uint64 `json:"elim_reuses"`
 	RebuildFailures uint64 `json:"rebuild_failures,omitempty"`

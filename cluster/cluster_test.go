@@ -1,11 +1,13 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -615,6 +617,14 @@ func TestFleetNodeRestartRestoresState(t *testing.T) {
 	if got := tc.nodes["b"].node.Snapshots(); got != len(snaps) {
 		t.Fatalf("restarted node reports %d snapshots, want %d restored", got, len(snaps))
 	}
+	// Every component restored to the node's epoch: one WAL and one
+	// checkpoint set per node leave no component behind the others.
+	for _, cs := range nodeStatsEvent(t, tc.nodes["b"]).Components {
+		if cs.Snapshots != tc.nodes["b"].node.Snapshots() {
+			t.Fatalf("restarted node's component %d restored %d snapshots, node has %d",
+				cs.Component, cs.Snapshots, tc.nodes["b"].node.Snapshots())
+		}
+	}
 
 	// No new snapshots: the restored state alone must answer, bitwise.
 	rec, err := tc.fleet.Infer(ctx, probe)
@@ -729,5 +739,161 @@ func TestNodeStatsDirtyComponents(t *testing.T) {
 				t.Fatalf("node %s component %d: %+v after gather", id, cs.Component, cs)
 			}
 		}
+	}
+}
+
+// TestNodeAssignmentParsing pins the strict parse of the "assignment" query
+// parameter: anything but a plain decimal generation is a bad request, not
+// a generation that happens to prefix it.
+func TestNodeAssignmentParsing(t *testing.T) {
+	rm, snaps := workload(t)
+	tc := startCluster(t, rm, []string{"a"})
+	if err := tc.fleet.IngestBatch(snaps); err != nil {
+		t.Fatal(err)
+	}
+	tc.sync(t)
+	tn := tc.nodes["a"]
+	gen := tn.node.Assignment()
+	for _, tcase := range []struct {
+		query string
+		want  int
+	}{
+		{"", http.StatusOK},
+		{"assignment=0", http.StatusOK},
+		{fmt.Sprintf("assignment=%d", gen), http.StatusOK},
+		{fmt.Sprintf("assignment=%d", gen+1), http.StatusConflict},
+		{"assignment=12abc", http.StatusBadRequest},
+		{"assignment=%2012", http.StatusBadRequest},
+		{"assignment=12%2034", http.StatusBadRequest},
+		{"assignment=-1", http.StatusBadRequest},
+		{"assignment=%2B1", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(tn.srv.URL + "/cluster/v1/steady?" + tcase.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er cluster.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != tcase.want {
+			t.Errorf("steady?%s: status %d (%s), want %d", tcase.query, resp.StatusCode, er.Error, tcase.want)
+		}
+	}
+}
+
+// TestFleetConsume asserts Fleet.Consume folds a source exactly like a
+// single-process engine's Consume over the same source.
+func TestFleetConsume(t *testing.T) {
+	ctx := context.Background()
+	rm, snaps := workload(t)
+	probe := synthSnapshots(rm, 1, 1234)[0]
+
+	ref, err := lia.New(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ref.Consume(ctx, lia.NewSliceSource(snaps)); err != nil || n != len(snaps) {
+		t.Fatalf("reference Consume = %d, %v", n, err)
+	}
+	want, err := ref.Infer(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tc := startCluster(t, rm, []string{"a", "b"})
+	if n, err := tc.fleet.Consume(ctx, lia.NewSliceSource(snaps)); err != nil || n != len(snaps) {
+		t.Fatalf("fleet Consume = %d, %v; want %d, nil", n, err, len(snaps))
+	}
+	tc.sync(t)
+	got, err := tc.fleet.Infer(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Consume-fed fleet diverges from Consume-fed engine:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestNodeReplacedBootsCold asserts a durable node's state belongs to its
+// placement: re-placed onto a different component set with the same path
+// count (and the same component shapes, so neither a checkpoint nor the
+// WAL could tell them apart) it boots cold, while the original placement
+// still restores.
+func TestNodeReplacedBootsCold(t *testing.T) {
+	rm, err := lia.NewTopology(interleave(star(0, 100, 3), star(1000, 200, 3), star(2000, 300, 3), star(3000, 400, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := lia.NewPartition(rm)
+	components := func(ids ...int) []cluster.ComponentAssignment {
+		var out []cluster.ComponentAssignment
+		for _, c := range ids {
+			ca := cluster.ComponentAssignment{Component: c}
+			for _, pg := range part.Component(c).Paths {
+				p := rm.Path(pg)
+				ca.Paths = append(ca.Paths, cluster.PathDoc{Beacon: p.Beacon, Dst: p.Dst, Links: p.Links})
+			}
+			out = append(out, ca)
+		}
+		return out
+	}
+	placementA, placementB := components(0, 1), components(2, 3)
+	pathsA := append(append([]int(nil), part.Component(0).Paths...), part.Component(1).Paths...)
+
+	stateDir := t.TempDir()
+	boot := func(comps []cluster.ComponentAssignment) (*cluster.Node, string) {
+		n := cluster.NewNode("n")
+		n.StateDir = stateDir
+		n.Logf = t.Logf
+		srv := httptest.NewServer(n.Handler())
+		t.Cleanup(srv.Close)
+		body, _ := json.Marshal(cluster.AssignRequest{NodeID: "n", Assignment: 1, Components: comps})
+		resp, err := http.Post(srv.URL+"/cluster/v1/assign", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("assign: %s", resp.Status)
+		}
+		return n, srv.URL
+	}
+
+	// Placement A learns 20 snapshots, then the node dies without Close.
+	_, url := boot(placementA)
+	var stream bytes.Buffer
+	ys := synthSnapshots(rm, 20, 3)
+	for _, y := range ys {
+		local := make([]float64, len(pathsA))
+		for i, pg := range pathsA {
+			local[i] = y[pg]
+		}
+		line, _ := json.Marshal(map[string][][]float64{"ys": {local}})
+		stream.Write(append(line, '\n'))
+	}
+	resp, err := http.Post(url+"/cluster/v1/ingest?assignment=1", "application/x-ndjson", &stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %s", resp.Status)
+	}
+
+	// Same StateDir, same path count, different components: cold.
+	b, _ := boot(placementB)
+	if got := b.Snapshots(); got != 0 {
+		t.Fatalf("node re-placed onto components 2,3 restored %d snapshots of components 0,1", got)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The original placement's state is still there for its return.
+	a, _ := boot(placementA)
+	if got := a.Snapshots(); got != len(ys) {
+		t.Fatalf("node placed back onto components 0,1 restored %d snapshots, want %d", got, len(ys))
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

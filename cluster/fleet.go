@@ -38,24 +38,58 @@ type FleetConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// fleetComponent is one link-connected component as the coordinator sees
-// it: the scatter index map plus the wire-ready path documents the owning
-// node rebuilds its engine from (the gather's link map is Fleet.links).
-type fleetComponent struct {
-	paths []int     // global path (row) indices, ascending
-	docs  []PathDoc // the component's paths, global row order preserved
+// nodeShare is the part of the topology one node carries: the wire-ready
+// components it builds its engine from, the scatter map onto its path order
+// and the gather map back from its link order.
+type nodeShare struct {
+	comps []ComponentAssignment // in scatter order
+	paths []int                 // concatenated global path indices, in scatter order
+	links []int                 // node virtual link -> global virtual link
+}
+
+// newNodeShare builds the share of one placement group. The link map comes
+// from the same node matrix the node builds (nodeMatrix), so the node's
+// answers gather back into global order link for link.
+func newNodeShare(rm *lia.RoutingMatrix, part *lia.Partition, group []int) (*nodeShare, error) {
+	sh := &nodeShare{}
+	for _, c := range group {
+		comp := part.Component(c)
+		docs := make([]PathDoc, len(comp.Paths))
+		for i, pg := range comp.Paths {
+			p := rm.Path(pg)
+			docs[i] = PathDoc{Beacon: p.Beacon, Dst: p.Dst, Links: p.Links}
+		}
+		sh.comps = append(sh.comps, ComponentAssignment{Component: c, Paths: docs})
+		sh.paths = append(sh.paths, comp.Paths...)
+	}
+	nrm, err := nodeMatrix(sh.comps)
+	if err != nil {
+		return nil, err
+	}
+	sh.links = make([]int, nrm.NumLinks())
+	for k := range sh.links {
+		kg, ok := rm.VirtualOf(nrm.Members(k)[0])
+		if !ok {
+			return nil, fmt.Errorf("node link %d does not map back to the topology", k)
+		}
+		sh.links[k] = kg
+	}
+	return sh, nil
 }
 
 // nodeClient is the coordinator's handle on one registered node: its
-// assignment slice, the scatter queue feeding its supervised ingest
+// share of the topology, the scatter queue feeding its supervised ingest
 // stream, and the cached state of its watch stream.
 type nodeClient struct {
 	id string
+	// share is set once by Fleet.place under Fleet.mu (nil for a node that
+	// carries no components) and never changes after; readers reach it
+	// through a Fleet.mu-guarded view of the placement.
+	share     *nodeShare
+	ingesting sync.Once // starts the ingest supervisor after the first push
 
-	mu    sync.Mutex
-	url   string
-	comps []int // owned component indices, in scatter order
-	paths []int // concatenated global path indices, in scatter order
+	mu  sync.Mutex
+	url string
 
 	// One incarnation per registration: the batch queue and the stream
 	// context are replaced together when the node re-registers, so a stream
@@ -132,17 +166,11 @@ func (nc *nodeClient) expected() (int64, bool) {
 	return base + delivered, true
 }
 
-func (nc *nodeClient) assigned() (comps []int, paths []int) {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	return nc.comps, nc.paths
-}
-
 // scatter projects a global observation vector onto the node's local path
 // order (the concatenation of its components' rows).
-func (nc *nodeClient) scatter(y []float64, paths []int) []float64 {
-	local := make([]float64, len(paths))
-	for i, pg := range paths {
+func (sh *nodeShare) scatter(y []float64) []float64 {
+	local := make([]float64, len(sh.paths))
+	for i, pg := range sh.paths {
 		local[i] = y[pg]
 	}
 	return local
@@ -154,28 +182,29 @@ func (nc *nodeClient) scatter(y []float64, paths []int) []float64 {
 // owning each link-connected component and gathering their per-component
 // results back into global link order. The Fleet owns placement and the
 // per-node HTTP transport; the assembly itself is lia's gather core, the
-// one ShardedEngine uses, so the degradation semantics are the same code
-// (a dead or failing component marks only its own links Unresolved).
+// one ShardedEngine uses, applied to one part per node, so the degradation
+// semantics are the same code (a dead node or a failing component marks
+// only its own links Unresolved).
 //
 // Construct with NewFleet, expose Handler on the coordinator's listener so
 // nodes can register, and Close when done. Until Size nodes have
 // registered, ingest and queries fail with lia.ErrTooFewSnapshots — the
 // same retryable cold-start signal a warming single-process engine gives.
 type Fleet struct {
-	rm    *lia.RoutingMatrix
-	part  *lia.Partition
-	comps []fleetComponent
-	links [][]int // per component: local virtual link -> global virtual link
-	cfg   FleetConfig
+	rm     *lia.RoutingMatrix
+	part   *lia.Partition
+	shares []*nodeShare // per placement group: LPT shards of the partition
+	cfg    FleetConfig
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu         sync.Mutex // guards nodes/placed/owners and serialises ingestion
+	mu         sync.Mutex // guards nodes/placed/carriers/owners and serialises ingestion
 	nodes      map[string]*nodeClient
 	placed     bool
 	assignment uint64
+	carriers   []*nodeClient // nodes with a share, by ID; nil until placed
 	owners     []*nodeClient // per component, nil until placed
 
 	epoch atomic.Uint64 // fleet-lifetime ingested snapshots
@@ -217,25 +246,18 @@ func NewFleet(rm *lia.RoutingMatrix, cfg FleetConfig) (*Fleet, error) {
 	f := &Fleet{
 		rm:     rm,
 		part:   part,
-		comps:  make([]fleetComponent, part.NumComponents()),
-		links:  make([][]int, part.NumComponents()),
 		cfg:    cfg,
 		nodes:  make(map[string]*nodeClient),
 		owners: make([]*nodeClient, part.NumComponents()),
 	}
-	for c := range f.comps {
-		if _, links, err := part.ComponentMatrix(c); err != nil {
-			return nil, fmt.Errorf("cluster: component %d: %w", c, err)
-		} else {
-			comp := part.Component(c)
-			docs := make([]PathDoc, len(comp.Paths))
-			for i, pg := range comp.Paths {
-				p := rm.Path(pg)
-				docs[i] = PathDoc{Beacon: p.Beacon, Dst: p.Dst, Links: p.Links}
-			}
-			f.comps[c] = fleetComponent{paths: comp.Paths, docs: docs}
-			f.links[c] = links
+	// The placement groups depend only on the partition and the fleet size,
+	// so every node's share is known before any node registers.
+	for i, group := range part.Shards(cfg.Size) {
+		sh, err := newNodeShare(rm, part, group)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: placement group %d: %w", i, err)
 		}
+		f.shares = append(f.shares, sh)
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	return f, nil
@@ -333,51 +355,39 @@ func (f *Fleet) place() {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	groups := f.part.Shards(f.cfg.Size)
 	f.assignment++
 	for i, id := range ids {
 		nc := f.nodes[id]
-		var comps, paths []int
-		if i < len(groups) {
-			comps = groups[i]
-			for _, c := range comps {
-				paths = append(paths, f.comps[c].paths...)
-			}
-		}
-		nc.mu.Lock()
-		nc.comps, nc.paths = comps, paths
-		nc.mu.Unlock()
-		for _, c := range comps {
-			f.owners[c] = nc
-		}
 		f.wg.Add(1)
 		go f.superviseWatch(nc)
-		if len(paths) > 0 {
-			f.wg.Add(1)
-			go f.superviseIngest(nc)
+		if i >= len(f.shares) {
+			f.cfg.Logf("cluster: node %s carries no components", id)
+			continue
 		}
-		f.cfg.Logf("cluster: placed components %v on node %s (%d paths)", comps, id, len(paths))
+		nc.share = f.shares[i]
+		f.carriers = append(f.carriers, nc)
+		for _, ca := range nc.share.comps {
+			f.owners[ca.Component] = nc
+		}
+		f.cfg.Logf("cluster: placed %d components on node %s (%d paths)", len(nc.share.comps), id, len(nc.share.paths))
 	}
 	f.placed = true
 }
 
-// assignRequest builds the wire assignment for one node.
+// assignRequest builds the wire assignment for one node. Caller holds f.mu.
 func (f *Fleet) assignRequest(nc *nodeClient) AssignRequest {
-	comps, _ := nc.assigned()
 	req := AssignRequest{NodeID: nc.id, Assignment: f.assignment, Options: f.cfg.Options}
-	for _, c := range comps {
-		req.Components = append(req.Components, ComponentAssignment{
-			Component: c,
-			Links:     f.links[c],
-			Paths:     f.comps[c].docs,
-		})
+	if nc.share != nil {
+		req.Components = nc.share.comps
 	}
 	return req
 }
 
 // pushAssignment delivers a node its assignment, retrying with backoff
 // until it is acknowledged, rejected as stale (the node already runs it),
-// or the fleet closes.
+// or the fleet closes. The node's ingest stream opens only after the first
+// push returns: its probe requires the node to run the assignment, so an
+// earlier start merely races the push and loses a reconnect backoff.
 func (f *Fleet) pushAssignment(nc *nodeClient) {
 	defer f.wg.Done()
 	f.mu.Lock()
@@ -391,14 +401,14 @@ func (f *Fleet) pushAssignment(nc *nodeClient) {
 			_, _ = io.Copy(io.Discard, resp.Body)
 			_ = resp.Body.Close()
 			f.cfg.Logf("cluster: node %s accepted assignment %d (%d components)", nc.id, req.Assignment, len(req.Components))
-			return
+			break
 		}
 		var er *wireError
 		if errors.As(err, &er) && er.sentinel == nil {
 			// Deliberate rejection (e.g. stale generation on a node that
 			// already runs it): nothing to retry.
 			f.cfg.Logf("cluster: node %s assignment %d not applied: %v", nc.id, req.Assignment, err)
-			return
+			break
 		}
 		select {
 		case <-f.ctx.Done():
@@ -408,6 +418,12 @@ func (f *Fleet) pushAssignment(nc *nodeClient) {
 		if backoff *= 2; backoff > f.cfg.ReconnectMax {
 			backoff = f.cfg.ReconnectMax
 		}
+	}
+	if len(req.Components) > 0 {
+		nc.ingesting.Do(func() {
+			f.wg.Add(1)
+			go f.superviseIngest(nc)
+		})
 	}
 }
 
@@ -631,14 +647,10 @@ func (f *Fleet) IngestBatch(ys [][]float64) error {
 	if !f.placed {
 		return f.errNotPlaced(len(f.nodes))
 	}
-	for _, nc := range f.nodes {
-		paths := nc.paths // f.mu serialises with place(); nc.paths is stable after
-		if len(paths) == 0 {
-			continue
-		}
+	for _, nc := range f.carriers {
 		batch := make([][]float64, len(ys))
 		for i, y := range ys {
-			batch[i] = nc.scatter(y, paths)
+			batch[i] = nc.share.scatter(y)
 		}
 		select {
 		case nc.batches <- batch:
@@ -653,99 +665,62 @@ func (f *Fleet) IngestBatch(ys [][]float64) error {
 }
 
 // Consume pulls snapshots from a source until it is exhausted or the
-// context is cancelled, scattering each to the fleet.
+// context is cancelled, scattering them to the fleet in the same batches as
+// Engine.Consume.
 func (f *Fleet) Consume(ctx context.Context, src lia.SnapshotSource) (int, error) {
-	n := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		snap, err := src.Next(ctx)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, nil
-			}
-			return n, err
-		}
-		if err := f.Ingest(snap.Y); err != nil {
-			return n, err
-		}
-		n++
-	}
+	return lia.ConsumeSource(ctx, src, f.rm, f.IngestBatch)
 }
 
 // --- lia.Inferencer: gathered queries ---
 
-// placedNodes snapshots the placement for a gather; the error is the
-// cold-start sentinel while the fleet is incomplete.
+// placedNodes snapshots the nodes carrying components, in ID order, for a
+// gather; the error is the cold-start sentinel while the fleet is
+// incomplete.
 func (f *Fleet) placedNodes() ([]*nodeClient, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.placed {
 		return nil, f.errNotPlaced(len(f.nodes))
 	}
-	nodes := make([]*nodeClient, 0, len(f.nodes))
-	for _, nc := range f.nodes {
-		if len(nc.comps) > 0 {
-			nodes = append(nodes, nc)
-		}
-	}
-	return nodes, nil
+	return f.carriers, nil
 }
 
-// gather fans one query out to every owning node concurrently and collects
-// per-component results and errors in component-index order, for the
-// lia.GatherResult/GatherSteady assembly. query returns the node's
-// GatherResponse; a whole-node failure charges every component the node
-// owns.
-func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *nodeClient) (*GatherResponse, error)) ([]*ComponentResult, []error, error) {
+// gather fans one query out to every carrying node concurrently and
+// returns one part per node — its answer in node link order, or the error
+// that charges all its links — with the per-node link maps, for the
+// lia.GatherResult/GatherSteady assembly.
+func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *nodeClient) (*GatherResponse, error)) (links [][]int, parts []*GatherResponse, errs []error, err error) {
 	nodes, err := f.placedNodes()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	results := make([]*ComponentResult, len(f.comps))
-	errs := make([]error, len(f.comps))
+	links = make([][]int, len(nodes))
+	parts = make([]*GatherResponse, len(nodes))
+	errs = make([]error, len(nodes))
 	var wg sync.WaitGroup
-	for _, nc := range nodes {
+	for i, nc := range nodes {
+		links[i] = nc.share.links
 		wg.Add(1)
-		go func(nc *nodeClient) {
+		go func() {
 			defer wg.Done()
-			comps, _ := nc.assigned()
-			resp, err := query(ctx, nc)
+			gr, err := query(ctx, nc)
+			if err == nil && len(gr.Variances) != len(nc.share.links) {
+				err = fmt.Errorf("answered %d links, share has %d", len(gr.Variances), len(nc.share.links))
+			}
 			if err != nil {
-				for _, c := range comps {
-					errs[c] = fmt.Errorf("node %s: %w", nc.id, err)
-				}
+				errs[i] = fmt.Errorf("node %s: %w", nc.id, err)
 				return
 			}
-			seen := make(map[int]bool, len(resp.Components))
-			for i := range resp.Components {
-				cr := &resp.Components[i]
-				if cr.Component < 0 || cr.Component >= len(results) {
-					continue
-				}
-				seen[cr.Component] = true
-				if cr.Error != "" {
-					errs[cr.Component] = fmt.Errorf("node %s component %d: %w", nc.id, cr.Component, decodeError(cr.Error, cr.ErrorCode))
-					continue
-				}
-				results[cr.Component] = cr
-			}
-			for _, c := range comps {
-				if !seen[c] {
-					errs[c] = fmt.Errorf("node %s: component %d missing from response", nc.id, c)
-				}
-			}
-		}(nc)
+			parts[i] = gr
+		}()
 	}
 	wg.Wait()
-	return results, errs, nil
+	return links, parts, errs, nil
 }
 
 // inferNode posts one node its projection of the observation vector.
 func (f *Fleet) inferNode(ctx context.Context, nc *nodeClient, y []float64) (*GatherResponse, error) {
-	_, paths := nc.assigned()
-	body, err := json.Marshal(InferRequest{Y: nc.scatter(y, paths)})
+	body, err := json.Marshal(InferRequest{Y: nc.share.scatter(y)})
 	if err != nil {
 		return nil, err
 	}
@@ -770,8 +745,8 @@ func (f *Fleet) steadyNode(ctx context.Context, nc *nodeClient) (*GatherResponse
 	return &gr, nil
 }
 
-// Infer runs Phase 2 on one global observation vector: each owning node
-// solves its components' reduced systems, and the per-link results gather
+// Infer runs Phase 2 on one global observation vector: each carrying node
+// solves its components' reduced systems, and the per-node results gather
 // back into global link order, bitwise-identical to a single-process
 // engine over the same snapshots. A failing component (or dead node)
 // degrades only its own links — zeroed, in neither Kept nor Removed, and
@@ -781,20 +756,20 @@ func (f *Fleet) Infer(ctx context.Context, y []float64) (*lia.Result, error) {
 	if err := f.checkDim(y); err != nil {
 		return nil, err
 	}
-	results, errs, err := f.gather(ctx, func(ctx context.Context, nc *nodeClient) (*GatherResponse, error) {
+	links, parts, errs, err := f.gather(ctx, func(ctx context.Context, nc *nodeClient) (*GatherResponse, error) {
 		return f.inferNode(ctx, nc, y)
 	})
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*lia.Result, len(results))
-	for c, cr := range results {
-		if cr != nil {
-			parts[c] = &lia.Result{LossRates: cr.LossRates, LogRates: cr.LogRates, Variances: cr.Variances,
-				Kept: cr.Kept, Removed: cr.Removed, Epoch: cr.Epoch}
+	results := make([]*lia.Result, len(parts))
+	for i, gr := range parts {
+		if gr != nil {
+			results[i] = &lia.Result{LossRates: gr.LossRates, LogRates: gr.LogRates, Variances: gr.Variances,
+				Kept: gr.Kept, Removed: gr.Removed, Unresolved: gr.Unresolved, Epoch: gr.Epoch}
 		}
 	}
-	return lia.GatherResult(ctx, f.rm.NumLinks(), f.links, parts, errs)
+	return lia.GatherResult(ctx, f.rm.NumLinks(), links, results, errs)
 }
 
 // InferCongested runs Infer and classifies every virtual link against the
@@ -811,17 +786,18 @@ func (f *Fleet) InferCongested(ctx context.Context, y []float64) ([]bool, *lia.R
 // in global link order, with the sharded degradation contract (failed
 // components' links in Unresolved).
 func (f *Fleet) Steady(ctx context.Context) (*lia.SteadyState, error) {
-	results, errs, err := f.gather(ctx, f.steadyNode)
+	links, parts, errs, err := f.gather(ctx, f.steadyNode)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*lia.SteadyState, len(results))
-	for c, cr := range results {
-		if cr != nil {
-			parts[c] = &lia.SteadyState{Variances: cr.Variances, Kept: cr.Kept, Removed: cr.Removed, Epoch: cr.Epoch}
+	states := make([]*lia.SteadyState, len(parts))
+	for i, gr := range parts {
+		if gr != nil {
+			states[i] = &lia.SteadyState{Variances: gr.Variances, Kept: gr.Kept, Removed: gr.Removed,
+				Unresolved: gr.Unresolved, Epoch: gr.Epoch}
 		}
 	}
-	return lia.GatherSteady(ctx, f.rm.NumLinks(), f.links, parts, errs)
+	return lia.GatherSteady(ctx, f.rm.NumLinks(), links, states, errs)
 }
 
 // Variances returns the Phase-1 per-link variance estimates in global link
@@ -879,7 +855,7 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 		out[c] = lia.Stats{
 			Snapshots:       cs.Snapshots,
 			StateEpoch:      cs.StateEpoch,
-			EpochLag:        cs.Snapshots - cs.StateEpoch,
+			EpochLag:        cs.EpochLag,
 			Rebuilds:        cs.Rebuilds,
 			ElimReuses:      cs.ElimReuses,
 			RebuildFailures: cs.RebuildFailures,
@@ -887,9 +863,6 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 			DirtyShards:     cs.DirtyShards,
 			Degraded:        cs.Degraded || !live,
 			LastError:       cs.LastError,
-		}
-		if cs.StateEpoch < 0 {
-			out[c].EpochLag = cs.Snapshots
 		}
 		if !live && out[c].LastError == "" {
 			out[c].LastError = fmt.Sprintf("node %s unreachable", nc.id)
@@ -907,13 +880,7 @@ func (f *Fleet) ComponentStats() []lia.Stats {
 // for a dead node, the "node ... unreachable" that /readyz reports.
 func (f *Fleet) Stats() lia.Stats {
 	f.mu.Lock()
-	placed := f.placed
-	shards := 0
-	for _, nc := range f.nodes {
-		if len(nc.comps) > 0 {
-			shards++
-		}
-	}
+	placed, shards := f.placed, len(f.carriers)
 	f.mu.Unlock()
 	snapshots := f.Snapshots()
 	var s lia.Stats
@@ -930,9 +897,9 @@ func (f *Fleet) Stats() lia.Stats {
 		}
 	} else {
 		s = lia.Stats{Snapshots: snapshots, StateEpoch: -1, EpochLag: snapshots,
-			Degraded: true, DegradedComponents: len(f.comps)}
+			Degraded: true, DegradedComponents: len(f.owners)}
 	}
-	s.Shards, s.Components = shards, len(f.comps)
+	s.Shards, s.Components = shards, len(f.owners)
 	s.Window, s.Decay = f.cfg.Options.Window, f.cfg.Options.Decay
 	return s
 }

@@ -5,44 +5,35 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lia"
 )
-
-// nodeComponent is one assigned component running on a node: an engine over
-// the component's own routing matrix (rebuilt node-side from the
-// coordinator's paths — Build is deterministic, so the local link order
-// matches the coordinator's Partition.ComponentMatrix exactly). The engine
-// is a plain lia.Engine, or a lia.DurableEngine around one when the node
-// has a StateDir.
-type nodeComponent struct {
-	component int   // global component index
-	links     []int // local virtual link -> global virtual link
-	npaths    int
-	eng       lia.Inferencer
-}
 
 // placement is one immutable assignment generation: handlers snapshot it
 // once and work against it, so a concurrent re-assign can never interleave
 // two generations inside one request.
 type placement struct {
 	assignment uint64
-	comps      []*nodeComponent
-	totalPaths int
-	epoch      atomic.Uint64 // snapshots folded into this placement
-	mu         sync.Mutex    // serialises ingestion across the components
+	// eng runs every assigned component: lia.New over the node matrix, so a
+	// ShardedEngine for several components and a plain Engine for one,
+	// wrapped in a DurableEngine when the node has a StateDir. Nil when the
+	// node carries no components.
+	eng   lia.Inferencer
+	comps []int // global component index of each of eng's components
+	paths int
 }
 
 // Node is the worker side of a cluster: it accepts component assignments
-// from a coordinator, runs one plain engine per component, folds in the
+// from a coordinator, runs them all on one lia engine, folds in the
 // snapshot stream the coordinator scatters to it, and answers the gather
 // and watch calls. Zero value is not usable; construct with NewNode.
 type Node struct {
@@ -56,19 +47,22 @@ type Node struct {
 	WatchPoll      time.Duration
 	WatchHeartbeat time.Duration
 
-	// StateDir, when non-empty, makes every placed component durable: its
-	// engine journals snapshots and checkpoints moments under
-	// StateDir/component-%04d (keyed by global component index), and a
-	// restarted node that receives the same placement back restores each
-	// component's moments from local disk — bitwise-identical to the state
-	// at the kill — before the coordinator resumes its stream. A component
-	// whose local state is unsalvageable or belongs to a different
-	// placement shape is wiped and boots cold (the log records it); the
-	// node never refuses an assignment over dead state. Set before serving.
+	// StateDir, when non-empty, makes the node's engine durable: it
+	// journals snapshots to one WAL and checkpoints moments under
+	// StateDir/placement-%016x, a directory keyed by a hash of the placed
+	// components (their global indices and paths). A restarted node that
+	// receives the same placement back restores its moments from that
+	// directory — bitwise-identical to the state at the kill — before the
+	// coordinator resumes its stream; a different placement gets a
+	// different directory and boots cold, so it never replays another
+	// placement's journal. Directories of earlier placements are left in
+	// place. State that is unsalvageable is wiped and boots cold (the log
+	// records it); the node never refuses an assignment over dead state.
+	// Set before serving.
 	StateDir string
 
-	// Durability tunes the per-component WAL and checkpoint cadence when
-	// StateDir is set (zero value = lia defaults).
+	// Durability tunes the WAL and checkpoint cadence when StateDir is set
+	// (zero value = lia defaults).
 	Durability lia.DurabilityOptions
 
 	// Logf receives supervision logs (default log is discarded).
@@ -121,82 +115,56 @@ func (n *Node) Assignment() uint64 {
 
 // Snapshots returns the snapshots folded into the active placement.
 func (n *Node) Snapshots() int {
-	if p := n.current(); p != nil {
-		return int(p.epoch.Load())
+	if p := n.current(); p != nil && p.eng != nil {
+		return p.eng.Snapshots()
 	}
 	return 0
 }
 
-// Close releases the active placement's engines after the node's HTTP
-// server has drained. For a durable node (StateDir set) this writes each
-// component's final checkpoint, so the next boot restores without WAL
-// replay; a node killed without Close recovers the same state, just by
-// replaying the journal tail. A later assignment builds fresh engines.
+// Close releases the active placement's engine after the node's HTTP
+// server has drained. For a durable node (StateDir set) this writes the
+// final checkpoint, so the next boot restores without WAL replay; a node
+// killed without Close recovers the same state, just by replaying the
+// journal tail. A later assignment builds a fresh engine.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	p := n.place
 	n.place = nil
 	n.mu.Unlock()
+	return p.close()
+}
+
+// close releases the placement's durable resources, if any.
+func (p *placement) close() error {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var first error
-	for _, nc := range p.comps {
-		if c, ok := nc.eng.(io.Closer); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
+	if c, ok := p.eng.(io.Closer); ok {
+		return c.Close()
 	}
-	return first
+	return nil
 }
 
 // apply installs a new placement from an assignment request, discarding any
-// older generation's engines and their learning state.
+// older generation's engine and its learning state.
 func (n *Node) apply(req AssignRequest) (*placement, error) {
 	opts, err := req.Options.Options()
 	if err != nil {
 		return nil, err
 	}
 	p := &placement{assignment: req.Assignment}
-	for _, ca := range req.Components {
-		paths := make([]lia.Path, len(ca.Paths))
-		for i, pd := range ca.Paths {
-			paths[i] = lia.Path{Beacon: pd.Beacon, Dst: pd.Dst, Links: pd.Links}
-		}
-		rm, err := lia.NewTopology(paths)
+	if len(req.Components) > 0 {
+		rm, err := nodeMatrix(req.Components)
 		if err != nil {
-			return nil, fmt.Errorf("component %d: %w", ca.Component, err)
+			return nil, err
 		}
-		if got := rm.NumLinks(); got != len(ca.Links) {
-			return nil, fmt.Errorf("component %d: rebuilt %d virtual links, coordinator placed %d — path set is not one link-connected component", ca.Component, got, len(ca.Links))
+		if p.comps, err = componentIndices(rm, req.Components); err != nil {
+			return nil, err
 		}
-		eng, err := n.buildEngine(rm, ca.Component, opts)
-		if err != nil {
-			return nil, fmt.Errorf("component %d: %w", ca.Component, err)
+		if p.eng, err = n.buildEngine(rm, req.Components, opts); err != nil {
+			return nil, err
 		}
-		p.comps = append(p.comps, &nodeComponent{
-			component: ca.Component,
-			links:     append([]int(nil), ca.Links...),
-			npaths:    rm.NumPaths(),
-			eng:       eng,
-		})
-		p.totalPaths += rm.NumPaths()
-	}
-	if n.StateDir != "" && len(p.comps) > 0 {
-		// A restored placement resumes at its components' recovered epoch.
-		// Components journal independently, so a crash between component
-		// folds of one batch can leave them one epoch apart; the placement
-		// reports the minimum (the epoch every component has reached).
-		minSnaps := -1
-		for _, nc := range p.comps {
-			if s := nc.eng.Snapshots(); minSnaps < 0 || s < minSnaps {
-				minSnaps = s
-			}
-		}
-		p.epoch.Store(uint64(minSnaps))
+		p.paths = rm.NumPaths()
 	}
 	n.mu.Lock()
 	old := n.place
@@ -207,55 +175,76 @@ func (n *Node) apply(req AssignRequest) (*placement, error) {
 		// checkpoint lands and its WAL handle closes, so the state on disk
 		// is consistent right up to the handover (and an in-flight old-
 		// generation stream fails fast instead of journalling into it).
-		for _, nc := range old.comps {
-			if c, ok := nc.eng.(io.Closer); ok {
-				if err := c.Close(); err != nil {
-					n.Logf("cluster node %s: closing superseded component %d: %v", n.ID, nc.component, err)
-				}
-			}
+		if err := old.close(); err != nil {
+			n.Logf("cluster node %s: closing superseded assignment %d: %v", n.ID, old.assignment, err)
 		}
 		n.Logf("cluster node %s: assignment %d supersedes %d (%d components, %d paths)",
-			n.ID, p.assignment, old.assignment, len(p.comps), p.totalPaths)
+			n.ID, p.assignment, old.assignment, len(p.comps), p.paths)
 	} else {
 		n.Logf("cluster node %s: assignment %d (%d components, %d paths)",
-			n.ID, p.assignment, len(p.comps), p.totalPaths)
+			n.ID, p.assignment, len(p.comps), p.paths)
 	}
 	return p, nil
 }
 
-// buildEngine constructs one placed component's engine: a plain lia.Engine,
-// or — when the node has a StateDir — a durable engine rooted at
-// StateDir/component-%04d that restores the moments a previous process of
-// this node persisted for the same component. Unsalvageable or
-// wrong-shape state (the placement changed while the node was down) is
-// wiped for a cold boot rather than refusing the assignment: the
-// coordinator's stream re-teaches a cold component, a node stuck rejecting
-// assignments teaches nothing.
-func (n *Node) buildEngine(rm *lia.RoutingMatrix, component int, opts []lia.Option) (lia.Inferencer, error) {
-	if n.StateDir == "" {
-		return lia.NewEngine(rm, opts...)
+// componentIndices maps the node engine's components — the link-connected
+// components of the node matrix, in lia.NewPartition order, which is the
+// order a ShardedEngine reports them in — to their global indices.
+func componentIndices(rm *lia.RoutingMatrix, comps []ComponentAssignment) ([]int, error) {
+	part := lia.NewPartition(rm)
+	if part.NumComponents() != len(comps) {
+		return nil, fmt.Errorf("%d assigned components form %d link-connected components", len(comps), part.NumComponents())
 	}
-	dir := filepath.Join(n.StateDir, fmt.Sprintf("component-%04d", component))
-	// WithShards(1) pins the inner engine to the plain implementation — a
-	// placed component is one link-connected unit by construction.
-	dopts := append(append([]lia.Option{}, opts...),
-		lia.WithShards(1), lia.WithDurability(dir, n.Durability))
-	eng, err := lia.New(rm, dopts...)
+	owner := make([]int, 0, rm.NumPaths())
+	for _, ca := range comps {
+		for range ca.Paths {
+			owner = append(owner, ca.Component)
+		}
+	}
+	ids := make([]int, part.NumComponents())
+	for c := range ids {
+		ids[c] = owner[part.Component(c).Paths[0]]
+	}
+	return ids, nil
+}
+
+// placementDir names a placement's durable state directory by a hash of its
+// components' global indices and paths, so a node re-placed onto a
+// different component set never restores or replays another placement's
+// state.
+func placementDir(comps []ComponentAssignment) string {
+	h := fnv.New64a()
+	_ = json.NewEncoder(h).Encode(comps)
+	return fmt.Sprintf("placement-%016x", h.Sum64())
+}
+
+// buildEngine constructs the placement's engine: lia.New over the node
+// matrix, durable under StateDir's placement directory when the node has a
+// StateDir, restoring the moments a previous process of this node persisted
+// for the same placement. Unsalvageable state is wiped for a cold boot
+// rather than refusing the assignment: the coordinator's stream re-teaches
+// a cold node, a node stuck rejecting assignments teaches nothing.
+func (n *Node) buildEngine(rm *lia.RoutingMatrix, comps []ComponentAssignment, opts []lia.Option) (lia.Inferencer, error) {
+	if n.StateDir == "" {
+		return lia.New(rm, opts...)
+	}
+	dir := filepath.Join(n.StateDir, placementDir(comps))
+	opts = append(opts, lia.WithDurability(dir, n.Durability))
+	eng, err := lia.New(rm, opts...)
 	var corrupt *lia.CorruptStateError
 	if errors.As(err, &corrupt) {
-		n.Logf("cluster node %s: component %d state in %s unsalvageable, booting cold: %v",
-			n.ID, component, dir, err)
+		n.Logf("cluster node %s: state in %s unsalvageable, booting cold: %v", n.ID, dir, err)
 		if err := os.RemoveAll(dir); err != nil {
 			return nil, fmt.Errorf("clearing corrupt state dir: %w", err)
 		}
-		eng, err = lia.New(rm, dopts...)
+		eng, err = lia.New(rm, opts...)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if ds := eng.(*lia.DurableEngine).DurabilityStats(); ds.RecoveredEpoch > 0 || ds.ReplayedSnapshots > 0 {
-		n.Logf("cluster node %s: component %d restored epoch %d (+%d replayed) from %s",
-			n.ID, component, ds.RecoveredEpoch, ds.ReplayedSnapshots, dir)
+		n.Logf("cluster node %s: restored epoch %d (+%d replayed) from %s",
+			n.ID, ds.RecoveredEpoch, ds.ReplayedSnapshots, dir)
 	}
 	return eng, nil
 }
@@ -284,56 +273,53 @@ func (n *Node) handleAssign(w http.ResponseWriter, r *http.Request) {
 		NodeID:     n.ID,
 		Assignment: p.assignment,
 		Components: len(p.comps),
-		Paths:      p.totalPaths,
+		Paths:      p.paths,
 	})
 }
 
-// requirePlacement resolves the active placement and checks the request's
-// assignment generation (query parameter "assignment"; 0/absent skips the
-// check — used by read paths that accept whatever is current).
+// parseAssignment reads a request's assignment generation (query parameter
+// "assignment"; 0 when absent, which skips the check — used by read paths
+// that accept whatever is current).
+func parseAssignment(r *http.Request) (uint64, error) {
+	q := r.URL.Query().Get("assignment")
+	if q == "" {
+		return 0, nil
+	}
+	gen, err := strconv.ParseUint(q, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad assignment %q", q)
+	}
+	return gen, nil
+}
+
+// requirePlacement resolves the active placement, checks the request's
+// assignment generation, and requires an engine (a node assigned no
+// components has nothing to answer with).
 func (n *Node) requirePlacement(w http.ResponseWriter, r *http.Request) (*placement, bool) {
 	p := n.current()
-	if p == nil {
-		writeError(w, http.StatusConflict, codeNotAssigned, errors.New("node has no component assignment yet"))
+	if p == nil || p.eng == nil {
+		writeError(w, http.StatusConflict, codeNotAssigned, errors.New("node has no component assignment"))
 		return nil, false
 	}
-	if q := r.URL.Query().Get("assignment"); q != "" && q != "0" {
-		var gen uint64
-		if _, err := fmt.Sscanf(q, "%d", &gen); err != nil {
-			writeError(w, http.StatusBadRequest, "", fmt.Errorf("bad assignment %q", q))
-			return nil, false
-		}
-		if gen != p.assignment {
-			writeError(w, http.StatusConflict, codeStaleAssignment,
-				fmt.Errorf("request is for assignment %d, node runs %d", gen, p.assignment))
-			return nil, false
-		}
+	gen, err := parseAssignment(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "", err)
+		return nil, false
+	}
+	if gen != 0 && gen != p.assignment {
+		writeError(w, http.StatusConflict, codeStaleAssignment,
+			fmt.Errorf("request is for assignment %d, node runs %d", gen, p.assignment))
+		return nil, false
 	}
 	return p, true
 }
 
-// split cuts a node-local observation vector into per-component views, in
-// assignment order (the scatter concatenates components the same way).
-func (p *placement) split(y []float64) ([][]float64, error) {
-	if len(y) != p.totalPaths {
-		return nil, fmt.Errorf("%w: snapshot has %d paths, placement has %d", lia.ErrDimensionMismatch, len(y), p.totalPaths)
-	}
-	out := make([][]float64, len(p.comps))
-	off := 0
-	for c, nc := range p.comps {
-		out[c] = y[off : off+nc.npaths]
-		off += nc.npaths
-	}
-	return out, nil
-}
-
 // handleIngest serves POST /cluster/v1/ingest: the coordinator's persistent
 // NDJSON snapshot stream. Each line carries a batch of node-local
-// observation vectors; every batch folds atomically across the placement's
-// components under one serialisation point, so all components observe the
-// same snapshot order. The stream is pinned to an assignment generation — a
-// re-assignment severs it mid-flight rather than folding old-placement
-// snapshots into new engines.
+// observation vectors, folded atomically by the node's engine (a bad
+// snapshot leaves every component untouched). The stream is pinned to an
+// assignment generation — a re-assignment severs it mid-flight rather than
+// folding old-placement snapshots into a new engine.
 //
 // Rejections ABORT the connection instead of writing an error response.
 // Go's HTTP server withholds a handler's response while a chunked request
@@ -346,16 +332,18 @@ func (p *placement) split(y []float64) ([][]float64, error) {
 // carries the full diagnosis.
 func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	p := n.current()
-	gen := r.URL.Query().Get("assignment")
+	gen, err := parseAssignment(r)
 	abort := func(why error) {
-		n.Logf("cluster node %s: aborting ingest stream (assignment=%s): %v", n.ID, gen, why)
+		n.Logf("cluster node %s: aborting ingest stream (assignment=%d): %v", n.ID, gen, why)
 		panic(http.ErrAbortHandler)
 	}
-	if p == nil {
-		abort(errors.New("node has no component assignment yet"))
-	}
-	if gen != "" && gen != "0" && gen != fmt.Sprintf("%d", p.assignment) {
-		abort(fmt.Errorf("stream is for assignment %s, node runs %d", gen, p.assignment))
+	switch {
+	case err != nil:
+		abort(err)
+	case p == nil || p.eng == nil:
+		abort(errors.New("node has no component assignment"))
+	case gen != 0 && gen != p.assignment:
+		abort(fmt.Errorf("stream is for assignment %d, node runs %d", gen, p.assignment))
 	}
 	dec := json.NewDecoder(r.Body)
 	ingested := 0
@@ -370,7 +358,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if n.current() != p {
 			abort(fmt.Errorf("ingest record %d (%d ingested): assignment %d superseded", rec, ingested, p.assignment))
 		}
-		if err := p.ingest(line.Ys); err != nil {
+		if err := p.eng.IngestBatch(line.Ys); err != nil {
 			abort(fmt.Errorf("ingest record %d (%d ingested): %w", rec, ingested, err))
 		}
 		ingested += len(line.Ys)
@@ -378,44 +366,14 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestSummary{
 		NodeID:    n.ID,
 		Ingested:  ingested,
-		Snapshots: int(p.epoch.Load()),
+		Snapshots: p.eng.Snapshots(),
 	})
 }
 
-// ingest folds one batch into every component, validating all vectors
-// before any is folded (a bad snapshot leaves every accumulator untouched,
-// matching ShardedEngine.IngestBatch).
-func (p *placement) ingest(ys [][]float64) error {
-	split := make([][][]float64, len(ys))
-	for i, y := range ys {
-		sub, err := p.split(y)
-		if err != nil {
-			return fmt.Errorf("batch snapshot %d of %d: %w", i, len(ys), err)
-		}
-		split[i] = sub
-	}
-	if len(ys) == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for c, nc := range p.comps {
-		batch := make([][]float64, len(ys))
-		for i := range split {
-			batch[i] = split[i][c]
-		}
-		if err := nc.eng.IngestBatch(batch); err != nil {
-			return err // unreachable: dimensions validated above
-		}
-	}
-	p.epoch.Add(uint64(len(ys)))
-	return nil
-}
-
 // handleInfer serves POST /cluster/v1/infer: Phase 2 on one node-local
-// observation vector, every assigned component solved and reported
-// independently (a failing component carries its error in its own result
-// slot; the HTTP status is 200 as long as the request itself was sound).
+// observation vector. The engine isolates component failures itself (a
+// failed component's links come back Unresolved); only a request every
+// component fails answers with an error.
 func (n *Node) handleInfer(w http.ResponseWriter, r *http.Request) {
 	p, ok := n.requirePlacement(w, r)
 	if !ok {
@@ -426,55 +384,53 @@ func (n *Node) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "", fmt.Errorf("decode: %w", err))
 		return
 	}
-	sub, err := p.split(req.Y)
+	snapshots := p.eng.Snapshots()
+	res, err := p.eng.Infer(r.Context(), req.Y)
 	if err != nil {
 		writeError(w, errStatus(err), wireCode(err), err)
 		return
 	}
-	resp := GatherResponse{NodeID: n.ID, Assignment: p.assignment, Snapshots: int(p.epoch.Load())}
-	for c, nc := range p.comps {
-		cr := ComponentResult{Component: nc.component}
-		res, err := nc.eng.Infer(r.Context(), sub[c])
-		if err != nil {
-			cr.Error, cr.ErrorCode = err.Error(), wireCode(err)
-		} else {
-			cr.Epoch = res.Epoch
-			cr.LossRates = res.LossRates
-			cr.LogRates = res.LogRates
-			cr.Variances = res.Variances
-			cr.Kept = res.Kept
-			cr.Removed = res.Removed
-		}
-		resp.Components = append(resp.Components, cr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, GatherResponse{
+		NodeID: n.ID, Assignment: p.assignment, Snapshots: snapshots, Epoch: res.Epoch,
+		LossRates: res.LossRates, LogRates: res.LogRates, Variances: res.Variances,
+		Kept: res.Kept, Removed: res.Removed, Unresolved: res.Unresolved,
+	})
 }
 
-// handleSteady serves GET /cluster/v1/steady: every component's consistent
-// steady-state view, with per-component failure isolation like handleInfer.
+// handleSteady serves GET /cluster/v1/steady: the engine's consistent
+// steady-state view, with the same failure isolation as handleInfer.
 func (n *Node) handleSteady(w http.ResponseWriter, r *http.Request) {
 	p, ok := n.requirePlacement(w, r)
 	if !ok {
 		return
 	}
-	resp := GatherResponse{NodeID: n.ID, Assignment: p.assignment, Snapshots: int(p.epoch.Load())}
-	for _, nc := range p.comps {
-		cr := ComponentResult{Component: nc.component}
-		st, err := nc.eng.Steady(r.Context())
-		if err != nil {
-			cr.Error, cr.ErrorCode = err.Error(), wireCode(err)
-		} else {
-			cr.Epoch = st.Epoch
-			cr.Variances = st.Variances
-			cr.Kept = st.Kept
-			cr.Removed = st.Removed
-		}
-		resp.Components = append(resp.Components, cr)
+	snapshots := p.eng.Snapshots()
+	st, err := p.eng.Steady(r.Context())
+	if err != nil {
+		writeError(w, errStatus(err), wireCode(err), err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, GatherResponse{
+		NodeID: n.ID, Assignment: p.assignment, Snapshots: snapshots, Epoch: st.Epoch,
+		Variances: st.Variances, Kept: st.Kept, Removed: st.Removed, Unresolved: st.Unresolved,
+	})
 }
 
-// event assembles the node's current epoch state.
+// componentStats returns the per-component stats of a node engine, in the
+// engine's component order: a ShardedEngine reports each, a plain Engine is
+// one component.
+func componentStats(eng lia.Inferencer) []lia.Stats {
+	if d, ok := eng.(*lia.DurableEngine); ok {
+		eng = d.Inner()
+	}
+	if s, ok := eng.(*lia.ShardedEngine); ok {
+		return s.ComponentStats()
+	}
+	return []lia.Stats{eng.Stats()}
+}
+
+// event assembles the node's current epoch state; per-component stats
+// carry their global component indices.
 func (n *Node) event(typ string) NodeEvent {
 	ev := NodeEvent{Type: typ, NodeID: n.ID, StateEpoch: -1}
 	p := n.current()
@@ -482,30 +438,29 @@ func (n *Node) event(typ string) NodeEvent {
 		return ev
 	}
 	ev.Assignment = p.assignment
-	ev.Snapshots = int(p.epoch.Load())
-	for c, nc := range p.comps {
-		cs := nc.eng.Stats()
-		degraded := cs.Unhealthy()
+	if p.eng == nil {
+		return ev
+	}
+	ev.Snapshots = p.eng.Snapshots()
+	comps := componentStats(p.eng)
+	s := lia.GatherStats(ev.Snapshots, comps)
+	ev.StateEpoch, ev.Degraded = s.StateEpoch, s.Degraded
+	for c, cs := range comps {
 		ev.Components = append(ev.Components, ComponentState{
-			Component:       nc.component,
+			Component:       p.comps[c],
 			Snapshots:       cs.Snapshots,
 			StateEpoch:      cs.StateEpoch,
+			EpochLag:        cs.EpochLag,
 			Rebuilds:        cs.Rebuilds,
 			ElimReuses:      cs.ElimReuses,
 			RebuildFailures: cs.RebuildFailures,
 			DeltaRebuilds:   cs.DeltaRebuilds,
 			DirtyShards:     cs.DirtyShards,
-			Degraded:        degraded,
+			Degraded:        cs.Unhealthy(),
 			LastError:       cs.LastError,
 		})
-		if degraded {
-			ev.Degraded = true
-		}
-		if cs.EpochLag > 0 || cs.StateEpoch < 0 && cs.Snapshots > 0 {
+		if cs.EpochLag > 0 {
 			ev.DirtyComponents++
-		}
-		if c == 0 || cs.StateEpoch < ev.StateEpoch {
-			ev.StateEpoch = cs.StateEpoch
 		}
 	}
 	return ev

@@ -44,8 +44,9 @@
 // is visible in /v1/status ("durability") and /metrics
 // (liaserve_checkpoints_total, liaserve_wal_bytes,
 // liaserve_recovery_replayed_snapshots). Cluster nodes take the same flags:
-// each placed component journals under its own subdirectory, and a
-// restarted node returns with its moments instead of re-learning.
+// the node's placement journals under one subdirectory keyed by the placed
+// components, and a restarted node returns with its moments instead of
+// re-learning.
 //
 // The same binary also runs as a multi-process cluster. A coordinator
 //
@@ -152,7 +153,7 @@ func run(args []string) error {
 
 		chaosKillCollector = fs.Duration("chaos-kill-collector", 0, "fault injection: kill every live collector listener once after this delay (0 disables; the source must reconnect on its own)")
 
-		stateDir           = fs.String("state-dir", "", "durable state root: moments are checkpointed and snapshots journaled per topology (server mode) or per placed component (node mode), and restored on boot before sources start (empty = in-memory only)")
+		stateDir           = fs.String("state-dir", "", "durable state root: moments are checkpointed and snapshots journaled per topology (server mode) or per placement (node mode), and restored on boot before sources start (empty = in-memory only)")
 		checkpointEvery    = fs.Int("checkpoint-every", 0, "with -state-dir, checkpoint after this many journaled snapshots (0 = library default, negative disables count-based checkpoints)")
 		checkpointInterval = fs.Duration("checkpoint-interval", 0, "with -state-dir, also checkpoint when this much time has passed since the last one and new snapshots arrived (0 disables)")
 		fsyncPolicy        = fs.String("fsync", "batch", "with -state-dir, WAL fsync policy: batch (fsync every append batch), interval (background cadence, see -fsync-interval), off (page cache only)")

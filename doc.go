@@ -129,10 +129,13 @@
 // link-connected partition, places component groups on registered nodes
 // (liaserve -join, longest-processing-time over pair-equation weight, so
 // placement is deterministic and independent of join order), scatters each
-// ingested snapshot's per-component projections over persistent streaming
-// connections, and gathers Infer/Links/Status from the fleet back into
-// global link order through the same gather core ShardedEngine uses
-// (GatherResult, GatherSteady, GatherStats). Because the decomposition is
+// ingested snapshot's projection onto a node's paths over persistent
+// streaming connections, and gathers Infer/Links/Status from the fleet back
+// into global link order through the same gather core ShardedEngine uses
+// (GatherResult, GatherSteady, GatherStats). Each node runs its whole
+// placement as one New engine — a ShardedEngine when it carries several
+// components — so the coordinator gathers one part per node, and a node's
+// own unresolved links pass through the outer gather. Because the decomposition is
 // exact, the gathered estimates are bitwise-identical to a single process
 // on the same snapshots — for any node count. Degradation stays
 // per-component: an unreachable node marks only the links it hosts

@@ -673,7 +673,7 @@ func (d *DurableEngine) IngestBatch(ys [][]float64) error {
 // Consume drains a source with the same batching semantics as
 // Engine.Consume; each internal batch becomes one WAL record.
 func (d *DurableEngine) Consume(ctx context.Context, src SnapshotSource) (int, error) {
-	return consumeSource(ctx, src, d.inner.RoutingMatrix(), d.IngestBatch)
+	return ConsumeSource(ctx, src, d.inner.RoutingMatrix(), d.IngestBatch)
 }
 
 func (d *DurableEngine) maybeCheckpointLocked() error {

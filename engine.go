@@ -232,13 +232,15 @@ const consumeBatch = 64
 // exactly the source order, so results are identical to a per-snapshot
 // Ingest loop.
 func (e *Engine) Consume(ctx context.Context, src SnapshotSource) (int, error) {
-	return consumeSource(ctx, src, e.rm, e.IngestBatch)
+	return ConsumeSource(ctx, src, e.rm, e.IngestBatch)
 }
 
-// consumeSource is the shared Consume loop behind Engine and ShardedEngine:
-// drain src into batches of up to consumeBatch snapshots and fold each batch
-// through ingestBatch.
-func consumeSource(ctx context.Context, src SnapshotSource, rm *RoutingMatrix, ingestBatch func([][]float64) error) (int, error) {
+// ConsumeSource is the Consume loop every Inferencer shares (Engine,
+// ShardedEngine, DurableEngine and cluster.Fleet): it drains src into
+// batches of up to 64 snapshots, each validated against rm and copied out
+// of the source's buffer, and folds each batch through ingestBatch. It
+// returns the snapshots folded; io.EOF from the source ends it cleanly.
+func ConsumeSource(ctx context.Context, src SnapshotSource, rm *RoutingMatrix, ingestBatch func([][]float64) error) (int, error) {
 	n := 0
 	np := rm.NumPaths()
 	// One backing array, reused across batches: IngestBatch copies the

@@ -8,8 +8,9 @@ import (
 
 // The gather core: how per-component answers become one global answer. It is
 // shared by every engine that splits a topology into link-connected
-// components — ShardedEngine in-process, cluster.Fleet across nodes — so
-// both assemble results, steady states and stats through the same code.
+// components — ShardedEngine in-process over its components, cluster.Fleet
+// over its nodes' engines — so both assemble results, steady states and
+// stats through the same code.
 //
 // Phase 1's moment system and Phase 2's elimination never couple paths that
 // share no link, so a component's answer remapped into global link order is
@@ -19,8 +20,11 @@ import (
 
 // GatherResult assembles per-component Phase-2 results into global link
 // order. links[c] maps component c's local virtual links to global ones;
-// parts[c] is its result, nil when errs[c] is non-nil. Kept, Removed and
-// Unresolved come back sorted, and Epoch is the oldest healthy component's.
+// parts[c] is its result, nil when errs[c] is non-nil. A part may itself be
+// a gather (a cluster node's engine over several components): its own
+// Unresolved links map through links[c] like its Kept and Removed, so
+// gathers compose. Kept, Removed and Unresolved come back sorted, and Epoch
+// is the oldest healthy part's.
 //
 // Caller cancellation always wins, and only a gather in which every
 // component failed returns an error (the joined one, so sentinels such as
@@ -34,14 +38,14 @@ func GatherResult(ctx context.Context, numLinks int, links [][]int, parts []*Res
 		LogRates:  make([]float64, numLinks),
 		Variances: make([]float64, numLinks),
 	}
-	out.Kept, out.Removed, out.Unresolved, out.Epoch = assemble(links, errs, func(c int) ([]int, []int, int) {
+	out.Kept, out.Removed, out.Unresolved, out.Epoch = assemble(links, errs, func(c int) ([]int, []int, []int, int) {
 		res := parts[c]
 		for kl, kg := range links[c] {
 			out.LossRates[kg] = res.LossRates[kl]
 			out.LogRates[kg] = res.LogRates[kl]
 			out.Variances[kg] = res.Variances[kl]
 		}
-		return res.Kept, res.Removed, res.Epoch
+		return res.Kept, res.Removed, res.Unresolved, res.Epoch
 	})
 	return out, nil
 }
@@ -53,12 +57,12 @@ func GatherSteady(ctx context.Context, numLinks int, links [][]int, parts []*Ste
 		return nil, err
 	}
 	out := &SteadyState{Variances: make([]float64, numLinks)}
-	out.Kept, out.Removed, out.Unresolved, out.Epoch = assemble(links, errs, func(c int) ([]int, []int, int) {
+	out.Kept, out.Removed, out.Unresolved, out.Epoch = assemble(links, errs, func(c int) ([]int, []int, []int, int) {
 		st := parts[c]
 		for kl, kg := range links[c] {
 			out.Variances[kg] = st.Variances[kl]
 		}
-		return st.Kept, st.Removed, st.Epoch
+		return st.Kept, st.Removed, st.Unresolved, st.Epoch
 	})
 	return out, nil
 }
@@ -81,22 +85,26 @@ func gatherErr(ctx context.Context, errs []error) error {
 }
 
 // assemble walks the components once: put writes a healthy component's
-// values into global order and returns its local Kept/Removed and epoch;
-// a failed component's links go to Unresolved. The link lists come back
-// sorted and the epoch is the minimum over healthy components.
-func assemble(links [][]int, errs []error, put func(c int) (kept, removed []int, epoch int)) (kept, removed, unresolved []int, epoch int) {
+// values into global order and returns its local Kept/Removed/Unresolved
+// and epoch; a failed component's links all go to Unresolved. The link
+// lists come back sorted and the epoch is the minimum over healthy
+// components.
+func assemble(links [][]int, errs []error, put func(c int) (kept, removed, unresolved []int, epoch int)) (kept, removed, unresolved []int, epoch int) {
 	healthy := false
 	for c, cl := range links {
 		if errs[c] != nil {
 			unresolved = append(unresolved, cl...)
 			continue
 		}
-		k, r, e := put(c)
+		k, r, u, e := put(c)
 		for _, kl := range k {
 			kept = append(kept, cl[kl])
 		}
 		for _, kl := range r {
 			removed = append(removed, cl[kl])
+		}
+		for _, kl := range u {
+			unresolved = append(unresolved, cl[kl])
 		}
 		if !healthy || e < epoch {
 			epoch, healthy = e, true

@@ -32,11 +32,21 @@ func gatherParts() []*lia.Result {
 	}
 }
 
+// nestedParts is gatherParts with component 0 itself a gather (a cluster
+// node over several components) whose local link 1 — global link 0 — is
+// unresolved: zero, in neither Kept nor Removed.
+func nestedParts() []*lia.Result {
+	parts := gatherParts()
+	parts[0] = &lia.Result{LossRates: []float64{0.1, 0, 0.3}, LogRates: []float64{-1, 0, -3}, Variances: []float64{1, 0, 3},
+		Kept: []int{2}, Removed: []int{0}, Unresolved: []int{1}, Epoch: 10}
+	return parts
+}
+
 // steadyParts projects results onto the steady-state shape.
 func steadyParts(rs []*lia.Result) []*lia.SteadyState {
 	out := make([]*lia.SteadyState, len(rs))
 	for c, r := range rs {
-		out[c] = &lia.SteadyState{Variances: r.Variances, Kept: r.Kept, Removed: r.Removed, Epoch: r.Epoch}
+		out[c] = &lia.SteadyState{Variances: r.Variances, Kept: r.Kept, Removed: r.Removed, Unresolved: r.Unresolved, Epoch: r.Epoch}
 	}
 	return out
 }
@@ -87,6 +97,28 @@ func TestGatherResultContract(t *testing.T) {
 		}
 	})
 
+	t.Run("healthy part carries its own unresolved", func(t *testing.T) {
+		// A gather of gathers: component 0's own unresolved link maps
+		// through its link map and joins component 1's failed links.
+		errs := []error{nil, errors.New("component 1 down"), nil}
+		got, err := lia.GatherResult(ctx, 7, gatherLinks, nestedParts(), errs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &lia.Result{
+			LossRates:  []float64{0, 0, 0.3, 0.7, 0.1, 0.6, 0},
+			LogRates:   []float64{0, 0, -3, -7, -1, -6, 0},
+			Variances:  []float64{0, 0, 3, 7, 1, 6, 0},
+			Kept:       []int{2, 3, 5},
+			Removed:    []int{4},
+			Unresolved: []int{0, 1, 6},
+			Epoch:      9,
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %+v\nwant %+v", got, want)
+		}
+	})
+
 	t.Run("all failed", func(t *testing.T) {
 		errs := make([]error, 3)
 		for c := range errs {
@@ -128,6 +160,17 @@ func TestGatherSteadyContract(t *testing.T) {
 		Unresolved: []int{1, 6}, Epoch: 9}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("one failed: got %+v\nwant %+v", got, want)
+	}
+
+	// A healthy part's own Unresolved maps through its link map.
+	got, err = lia.GatherSteady(ctx, 7, gatherLinks, steadyParts(nestedParts()), make([]error, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = &lia.SteadyState{Variances: []float64{0, 4, 3, 7, 1, 6, 5}, Kept: []int{2, 3, 5, 6}, Removed: []int{1, 4},
+		Unresolved: []int{0}, Epoch: 7}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("nested part: got %+v\nwant %+v", got, want)
 	}
 
 	errs := []error{lia.ErrTooFewSnapshots, lia.ErrTooFewSnapshots, lia.ErrTooFewSnapshots}

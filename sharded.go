@@ -327,7 +327,7 @@ func (e *ShardedEngine) IngestBatch(ys [][]float64) error {
 // Consume pulls snapshots from a source until it is exhausted or the
 // context is cancelled, with the same batching semantics as Engine.Consume.
 func (e *ShardedEngine) Consume(ctx context.Context, src SnapshotSource) (int, error) {
-	return consumeSource(ctx, src, e.rm, e.IngestBatch)
+	return ConsumeSource(ctx, src, e.rm, e.IngestBatch)
 }
 
 // SparseIngester is the optional component-granular ingestion surface:
