@@ -36,16 +36,25 @@
 //	GET  /cluster/v1/stats      coordinator -> node: per-component counters
 //	GET  /cluster/v1/watch      coordinator -> node: NDJSON epoch push stream
 //
-// Every payload is JSON; floats round-trip bit-exactly through Go's
-// shortest-representation encoding, which is what makes gathered estimates
-// bitwise-comparable to local ones.
+// Every payload is JSON. The ingest stream is newline-delimited: each
+// record is one {"ys":[[…],…]} object on its own line, a batch of
+// snapshots in the node's path order. Every float on the wire is encoded
+// exactly as encoding/json encodes it — the shortest representation that
+// round-trips bit-exactly, which is what makes gathered estimates
+// bitwise-comparable to local ones. The fleet writes ingest records and
+// infer requests with internal/jsonwire, which produces encoding/json's
+// bytes without reflection; the node decodes canonical records and
+// requests with its scanner and hands any other line to encoding/json.
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 
 	"lia"
+	"lia/internal/jsonwire"
 )
 
 // PathDoc is one measurement path on the wire (the liainfer topology
@@ -176,6 +185,28 @@ type ingestLine struct {
 	Ys [][]float64 `json:"ys"`
 }
 
+// appendIngestLine appends one ingest-stream record, newline included,
+// byte-identical to json.Encoder's encoding of ingestLine{Ys: ys}. A
+// non-finite value fails it and leaves dst unchanged.
+func appendIngestLine(dst []byte, ys [][]float64) ([]byte, error) {
+	b, err := jsonwire.AppendRows(append(dst, `{"ys":`...), ys)
+	if err != nil {
+		return dst, err
+	}
+	return append(b, "}\n"...), nil
+}
+
+// decodeIngestLine decodes one ingest-stream record: the canonical record
+// through jsonwire's fast path, any other line through encoding/json.
+func decodeIngestLine(line []byte) ([][]float64, error) {
+	if ys, ok := jsonwire.DecodeRows(line, "ys"); ok {
+		return ys, nil
+	}
+	var rec ingestLine
+	err := json.Unmarshal(line, &rec)
+	return rec.Ys, err
+}
+
 // IngestSummary is the terminal response of one ingest stream.
 type IngestSummary struct {
 	NodeID string `json:"node_id"`
@@ -189,6 +220,28 @@ type IngestSummary struct {
 // vector in the node's local path order.
 type InferRequest struct {
 	Y []float64 `json:"y"`
+}
+
+// appendInferRequest appends an InferRequest body, byte-identical to
+// json.Marshal(InferRequest{Y: y}).
+func appendInferRequest(dst []byte, y []float64) ([]byte, error) {
+	b, err := jsonwire.AppendFloats(append(dst, `{"y":`...), y)
+	if err != nil {
+		return dst, err
+	}
+	return append(b, '}'), nil
+}
+
+// decodeInferRequest decodes an InferRequest body as decodeIngestLine
+// decodes a record; the fallback is a streaming decode, as the body was
+// decoded before the fast path.
+func decodeInferRequest(body []byte) (InferRequest, error) {
+	if y, ok := jsonwire.DecodeFloats(body, "y"); ok {
+		return InferRequest{Y: y}, nil
+	}
+	var req InferRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
 }
 
 // GatherResponse is the body of /cluster/v1/infer and /cluster/v1/steady:

@@ -7,17 +7,21 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lia"
 	"lia/cluster"
+	"lia/internal/fingerprint"
 )
 
 // star builds a 2-level star component: n leaf paths sharing one root link,
@@ -251,11 +255,17 @@ func TestFleetParity(t *testing.T) {
 	}
 }
 
+// update rewrites the pinned fingerprint (go test -run Fingerprint -update).
+var update = flag.Bool("update", false, "rewrite the pinned fingerprint")
+
 // TestClusterScalingFingerprint extends the root package's scaling
 // fingerprint to cluster placement: the SHA-256 of the gathered estimates
 // is bitwise-identical across 1/2/4-node placements, across join orders,
-// and to the single-process engine. CI runs this at several GOMAXPROCS
-// values and asserts the printed fingerprint never changes.
+// and to the single-process engine, and it is pinned
+// (testdata/cluster.fingerprint). Every snapshot reaches the nodes through
+// the ingest stream's float codec, so the pin is also its bitwise proof.
+// CI runs this at several GOMAXPROCS values and asserts the printed
+// fingerprint never changes.
 func TestClusterScalingFingerprint(t *testing.T) {
 	ctx := context.Background()
 	rm, snaps := workload(t)
@@ -309,7 +319,9 @@ func TestClusterScalingFingerprint(t *testing.T) {
 		}
 		_ = tc.fleet.Close()
 	}
-	t.Logf("fingerprint=%x", want)
+	fp := fmt.Sprintf("%x", want)
+	t.Logf("fingerprint=%s", fp)
+	fingerprint.Check(t, "cluster", fp, *update)
 }
 
 // TestFleetColdStart asserts the fleet reports the standard retryable
@@ -895,5 +907,143 @@ func TestNodeReplacedBootsCold(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetRejectsNonFinite asserts a batch holding NaN or ±Inf is refused
+// whole before scatter: no node sees any of it, nothing counts as missed,
+// and the next batch rides the same ingest streams to every component.
+func TestFleetRejectsNonFinite(t *testing.T) {
+	rm, snaps := workload(t)
+	var mu sync.Mutex
+	var streamEnds []string
+	fleet, err := cluster.NewFleet(rm, cluster.FleetConfig{
+		Size:         2,
+		ReconnectMin: 10 * time.Millisecond,
+		ReconnectMax: 200 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			msg := fmt.Sprintf(format, args...)
+			if strings.Contains(msg, "ingest stream ended") {
+				mu.Lock()
+				streamEnds = append(streamEnds, msg)
+				mu.Unlock()
+			}
+			t.Log(msg)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &testCluster{fleet: fleet, coord: httptest.NewServer(fleet.Handler()), nodes: map[string]*testNode{}}
+	t.Cleanup(func() {
+		_ = fleet.Close()
+		tc.coord.Close()
+		for _, tn := range tc.nodes {
+			tn.srv.Close()
+		}
+	})
+	for _, id := range []string{"a", "b"} {
+		tc.startNode(t, id)
+	}
+	if err := fleet.IngestBatch(snaps[:4]); err != nil {
+		t.Fatal(err)
+	}
+	tc.sync(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		poisoned := append([]float64(nil), snaps[4]...)
+		poisoned[len(poisoned)-1] = bad
+		err := fleet.IngestBatch([][]float64{snaps[4], poisoned})
+		if err == nil || !strings.Contains(err.Error(), "0 ingested") {
+			t.Fatalf("batch with %v: %v, want a rejection that says 0 were ingested", bad, err)
+		}
+	}
+	if err := fleet.IngestBatch(snaps[4:5]); err != nil {
+		t.Fatal(err)
+	}
+	tc.sync(t)
+	if missed := fleet.Missed(); missed != 0 {
+		t.Errorf("fleet missed %d snapshots", missed)
+	}
+	if got := fleet.Snapshots(); got != 5 {
+		t.Errorf("fleet counted %d snapshots, want 5", got)
+	}
+	for _, tn := range tc.nodes {
+		for _, cs := range nodeStatsEvent(t, tn).Components {
+			if cs.Snapshots != 5 {
+				t.Errorf("node %s component %d holds %d snapshots, want 5", tn.id, cs.Component, cs.Snapshots)
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(streamEnds) > 0 {
+		t.Errorf("ingest streams reconnected: %q", streamEnds)
+	}
+}
+
+// TestNodeIngestEncoderLines feeds a node's ingest stream records written
+// by json.Encoder, plus single-line records outside the canonical shape
+// (mixed-case key, unknown key, padding) that take the encoding/json
+// fallback: the node must learn exactly what a fleet-fed node learns.
+func TestNodeIngestEncoderLines(t *testing.T) {
+	ctx := context.Background()
+	// One component, so the node's local path order is the global one.
+	rm, err := lia.NewTopology(star(0, 100, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := synthSnapshots(rm, 40, 11)
+	probe := synthSnapshots(rm, 1, 1234)[0]
+
+	fed := startCluster(t, rm, []string{"fed"})
+	if err := fed.fleet.IngestBatch(snaps); err != nil {
+		t.Fatal(err)
+	}
+	fed.sync(t)
+	want, err := fed.fleet.Infer(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	direct := startCluster(t, rm, []string{"direct"})
+	tn := direct.nodes["direct"]
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for i := 0; i < 30; i += 6 {
+		if err := enc.Encode(struct {
+			Ys [][]float64 `json:"ys"`
+		}{snaps[i : i+6]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tmpl := range []string{"{\"YS\":%s}\n", "{\"ys\":%s,\"extra\":true}\n", "\t{ \"ys\" : %s }\r\n\n"} {
+		rows, err := json.Marshal(snaps[30+3*i : 33+3*i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&body, tmpl, rows)
+	}
+	if err := enc.Encode(struct {
+		Ys [][]float64 `json:"ys"`
+	}{snaps[39:]}); err != nil {
+		t.Fatal(err)
+	}
+	url := fmt.Sprintf("%s/cluster/v1/ingest?assignment=%d", tn.srv.URL, tn.node.Assignment())
+	resp, err := http.Post(url, "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum cluster.IngestSummary
+	err = json.NewDecoder(resp.Body).Decode(&sum)
+	resp.Body.Close()
+	if err != nil || sum.Ingested != len(snaps) {
+		t.Fatalf("direct stream: %+v, %v; want %d ingested", sum, err, len(snaps))
+	}
+	got, err := direct.fleet.Infer(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("node fed encoder lines diverges from fleet-fed node:\n got %+v\nwant %+v", got, want)
 	}
 }

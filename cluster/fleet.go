@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -569,7 +570,7 @@ func (f *Fleet) ingestOnce(nc *nodeClient) (wrote int, err error) {
 		_, _ = io.Copy(io.Discard, r.resp.Body)
 		return wrote, cause
 	}
-	enc := json.NewEncoder(pw)
+	var line []byte // one record, reused: pw.Write returns once the node has read it
 	for {
 		select {
 		case <-sctx.Done():
@@ -585,7 +586,11 @@ func (f *Fleet) ingestOnce(nc *nodeClient) (wrote int, err error) {
 			}
 			return wrote, r.err
 		case batch := <-batches:
-			if err := enc.Encode(ingestLine{Ys: batch}); err != nil {
+			var err error
+			if line, err = appendIngestLine(line[:0], batch); err == nil {
+				_, err = pw.Write(line)
+			}
+			if err != nil {
 				nc.missed.Add(int64(len(batch)))
 				return finish(err)
 			}
@@ -624,18 +629,35 @@ func (f *Fleet) checkDim(y []float64) error {
 	return nil
 }
 
+// checkFinite rejects a snapshot the ingest stream cannot carry. JSON has
+// no NaN or ±Inf: a batch holding one would fail to encode on the streams
+// of the nodes it reaches and be dropped there alone, leaving components on
+// different nodes learning from different snapshot sequences.
+func checkFinite(y []float64) error {
+	for p, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite value %v at path %d", v, p)
+		}
+	}
+	return nil
+}
+
 // Ingest folds one learning snapshot, scattering its rows to the owning
 // nodes' ingest streams.
 func (f *Fleet) Ingest(y []float64) error { return f.IngestBatch([][]float64{y}) }
 
 // IngestBatch folds a batch of snapshots under one serialisation point: all
-// vectors are validated first, then every node receives its projection of
-// the whole batch in order. Delivery to a down node is dropped (counted
-// missed) rather than blocking the fleet — its components degrade, every
-// other component's learning is unaffected.
+// vectors are validated first (dimension, and finite values), then every
+// node receives its projection of the whole batch in order. Delivery to a
+// down node is dropped (counted missed) rather than blocking the fleet —
+// its components degrade, every other component's learning is unaffected.
 func (f *Fleet) IngestBatch(ys [][]float64) error {
 	for i, y := range ys {
-		if err := f.checkDim(y); err != nil {
+		err := f.checkDim(y)
+		if err == nil {
+			err = checkFinite(y)
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: batch snapshot %d of %d (0 ingested): %w", i, len(ys), err)
 		}
 	}
@@ -720,7 +742,7 @@ func (f *Fleet) gather(ctx context.Context, query func(ctx context.Context, nc *
 
 // inferNode posts one node its projection of the observation vector.
 func (f *Fleet) inferNode(ctx context.Context, nc *nodeClient, y []float64) (*GatherResponse, error) {
-	body, err := json.Marshal(InferRequest{Y: nc.share.scatter(y)})
+	body, err := appendInferRequest(nil, nc.share.scatter(y))
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lia"
+	"lia/internal/jsonwire"
 )
 
 // placement is one immutable assignment generation: handlers snapshot it
@@ -345,23 +346,27 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case gen != 0 && gen != p.assignment:
 		abort(fmt.Errorf("stream is for assignment %d, node runs %d", gen, p.assignment))
 	}
-	dec := json.NewDecoder(r.Body)
+	lines := jsonwire.NewLines(r.Body)
 	ingested := 0
 	for rec := 0; ; rec++ {
-		var line ingestLine
-		if err := dec.Decode(&line); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
+		line, err := lines.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		var ys [][]float64
+		if err == nil {
+			ys, err = decodeIngestLine(line)
+		}
+		if err != nil {
 			abort(fmt.Errorf("ingest record %d (%d ingested): decode: %w", rec, ingested, err))
 		}
 		if n.current() != p {
 			abort(fmt.Errorf("ingest record %d (%d ingested): assignment %d superseded", rec, ingested, p.assignment))
 		}
-		if err := p.eng.IngestBatch(line.Ys); err != nil {
+		if err := p.eng.IngestBatch(ys); err != nil {
 			abort(fmt.Errorf("ingest record %d (%d ingested): %w", rec, ingested, err))
 		}
-		ingested += len(line.Ys)
+		ingested += len(ys)
 	}
 	writeJSON(w, http.StatusOK, IngestSummary{
 		NodeID:    n.ID,
@@ -379,8 +384,12 @@ func (n *Node) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	body, err := jsonwire.ReadAll(r.Body, r.ContentLength)
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err == nil {
+		req, err = decodeInferRequest(body)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "", fmt.Errorf("decode: %w", err))
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"log"
+	"math"
 	"os"
 	"time"
 
@@ -47,9 +48,24 @@ func main() {
 		if err != nil {
 			log.Fatalf("collector: %v", err)
 		}
+		if missing := missingPaths(frac); len(missing) > 0 {
+			log.Printf("collector: snapshot %d skipped: no sink report from paths %v by the timeout", snap, missing)
+			continue
+		}
 		if err := enc.Encode(map[string]interface{}{"snapshot": snap, "frac": frac}); err != nil {
 			log.Fatalf("collector: %v", err)
 		}
 		log.Printf("collector: snapshot %d complete", snap)
 	}
+}
+
+// missingPaths lists the paths AwaitSnapshot returned as missing (NaN).
+func missingPaths(frac []float64) []int {
+	var out []int
+	for p, f := range frac {
+		if math.IsNaN(f) {
+			out = append(out, p)
+		}
+	}
+	return out
 }

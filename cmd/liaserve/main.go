@@ -146,7 +146,7 @@ func run(args []string) error {
 		tl        = fs.Float64("tl", lia.DefaultThreshold, "congestion threshold")
 
 		settle      = fs.Duration("settle", 1500*time.Millisecond, "collector settle window after snapshot completion")
-		snapTimeout = fs.Duration("snapshot-timeout", 2*time.Minute, "collector per-snapshot completion timeout")
+		snapTimeout = fs.Duration("snapshot-timeout", 2*time.Minute, "collector per-snapshot completion timeout; a path with no sink report by then is emitted as missing and the snapshot quarantined")
 		simSeed     = fs.Uint64("sim-seed", 1, "simulator source seed")
 
 		shutdownGrace = fs.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight requests on SIGINT/SIGTERM")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -178,10 +179,31 @@ var ErrCollectorClosed = errors.New("emunet: collector closed")
 type Collector struct {
 	ln        net.Listener
 	mu        sync.Mutex
-	data      map[[2]int]Report // (path, snapshot) -> last report
+	data      map[[2]int]pathReport // (path, snapshot) -> merged halves
 	wg        sync.WaitGroup
 	done      chan struct{}
 	closeOnce sync.Once
+}
+
+// pathReport merges the reports of one (path, snapshot). It records which
+// halves have arrived, not just their values: a zero received count read
+// before the sink reported would be a fabricated total loss.
+type pathReport struct {
+	sent, received         int
+	haveSent, haveReceived bool
+}
+
+// merge folds one report in (see Report for which halves it carries).
+// Values merge by max, so replayed reports are idempotent.
+func (pr *pathReport) merge(r Report) {
+	if r.Sent > 0 {
+		pr.haveSent = true
+		pr.sent = max(pr.sent, r.Sent)
+	}
+	if r.Sent == 0 || r.Received > 0 {
+		pr.haveReceived = true
+		pr.received = max(pr.received, r.Received)
+	}
 }
 
 // NewCollector starts a TCP collector on loopback.
@@ -193,7 +215,7 @@ func NewCollectorAddr(addr string) (*Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emunet: collector listen %q: %w", addr, err)
 	}
-	c := &Collector{ln: ln, data: make(map[[2]int]Report), done: make(chan struct{})}
+	c := &Collector{ln: ln, data: make(map[[2]int]pathReport), done: make(chan struct{})}
 	c.wg.Add(1)
 	go c.accept()
 	return c, nil
@@ -229,37 +251,44 @@ func (c *Collector) handle(conn net.Conn) {
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			continue // tolerate malformed lines from misbehaving agents
 		}
-		// Merge: beacons report Sent, sinks report Received; a full report
-		// (the in-process lab) carries both.
 		c.mu.Lock()
 		key := [2]int{r.PathID, r.Snapshot}
 		cur := c.data[key]
-		cur.PathID, cur.Snapshot = r.PathID, r.Snapshot
-		if r.Sent > cur.Sent {
-			cur.Sent = r.Sent
-		}
-		if r.Received > cur.Received {
-			cur.Received = r.Received
-		}
+		cur.merge(r)
 		c.data[key] = cur
 		c.mu.Unlock()
 	}
 }
 
 // Snapshot returns the received fractions for all paths of one snapshot,
-// or ok=false if any path has not reported yet.
+// or ok=false if any path still lacks its beacon or its sink report.
 func (c *Collector) Snapshot(snapshot, numPaths int) (frac []float64, ok bool) {
+	frac, complete, _ := c.read(snapshot, numPaths)
+	if !complete {
+		return nil, false
+	}
+	return frac, true
+}
+
+// read returns the fractions of one snapshot with NaN for every path that
+// lacks a half, whether every path has both halves, and whether every path
+// has at least its beacon half.
+func (c *Collector) read(snapshot, numPaths int) (frac []float64, complete, sent bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	frac = make([]float64, numPaths)
-	for p := 0; p < numPaths; p++ {
-		r, have := c.data[[2]int{p, snapshot}]
-		if !have || r.Sent == 0 {
-			return nil, false
+	complete, sent = true, true
+	for p := range frac {
+		r := c.data[[2]int{p, snapshot}]
+		if !r.haveSent || !r.haveReceived {
+			frac[p] = math.NaN()
+			complete = false
+			sent = sent && r.haveSent
+			continue
 		}
-		frac[p] = float64(r.Received) / float64(r.Sent)
+		frac[p] = float64(r.received) / float64(r.sent)
 	}
-	return frac, true
+	return frac, complete, sent
 }
 
 // WaitSnapshot polls until the snapshot is complete or the timeout expires.
@@ -277,38 +306,55 @@ func (c *Collector) WaitSnapshot(snapshot, numPaths int, timeout time.Duration) 
 }
 
 // AwaitSnapshot is the report-assembly step shared by the standalone
-// collector command and the live serve.CollectorSource: it blocks until
-// every path of the snapshot has a sent count (beacons report immediately),
-// waits the settle window so the sinks' timer-driven received reports merge
-// in, and re-reads the merged fractions. It returns the context error on
-// cancellation, so callers bound the wait with context.WithTimeout.
+// collector command and the live serve.CollectorSource. It blocks until
+// every path of the snapshot has its beacon report (beacons report
+// immediately), waits the settle window so the sinks' timer-driven received
+// reports merge in, and then waits for the sink reports still missing.
+//
+// The context bounds the wait. Cancellation, a closed collector, and a
+// deadline that passes before every beacon reported return an error. A
+// deadline that passes while only sink reports are missing returns the
+// snapshot with NaN — missing — for those paths, never a zero: a path whose
+// sink has not reported is unmeasured, not totally lossy, and
+// lia.SanitizeSource quarantines the snapshot.
 func (c *Collector) AwaitSnapshot(ctx context.Context, snapshot, numPaths int, settle time.Duration) ([]float64, error) {
+	wait := func(stage string, d time.Duration) error {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("emunet: snapshot %d %s: %w", snapshot, stage, ctx.Err())
+		case <-c.done:
+			return fmt.Errorf("emunet: snapshot %d %s: %w", snapshot, stage, ErrCollectorClosed)
+		case <-time.After(d):
+			return nil
+		}
+	}
 	for {
-		if _, ok := c.Snapshot(snapshot, numPaths); ok {
+		if _, _, sent := c.read(snapshot, numPaths); sent {
 			break
 		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("emunet: snapshot %d incomplete: %w", snapshot, ctx.Err())
-		case <-c.done:
-			return nil, fmt.Errorf("emunet: snapshot %d: %w", snapshot, ErrCollectorClosed)
-		case <-time.After(2 * time.Millisecond):
+		if err := wait("incomplete", 2*time.Millisecond); err != nil {
+			return nil, err
 		}
 	}
+	// A deadline inside the settle window ends it: the read below then
+	// returns what arrived.
 	if settle > 0 {
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("emunet: snapshot %d settle: %w", snapshot, ctx.Err())
-		case <-c.done:
-			return nil, fmt.Errorf("emunet: snapshot %d settle: %w", snapshot, ErrCollectorClosed)
-		case <-time.After(settle):
+		if err := wait("settle", settle); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
 		}
 	}
-	frac, ok := c.Snapshot(snapshot, numPaths)
-	if !ok {
-		return nil, fmt.Errorf("emunet: snapshot %d regressed during settle", snapshot)
+	for {
+		frac, complete, _ := c.read(snapshot, numPaths)
+		if complete {
+			return frac, nil
+		}
+		if err := wait("sink reports", 2*time.Millisecond); err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				return frac, nil
+			}
+			return nil, err
+		}
 	}
-	return frac, nil
 }
 
 // Done is closed when the collector shuts down — the hook waiters use to

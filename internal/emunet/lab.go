@@ -264,14 +264,15 @@ func (l *Lab) RunSnapshot() ([]float64, error) {
 	}
 	defer rc.Close()
 	for i, p := range l.paths {
-		rep := Report{
-			PathID:   i,
-			Snapshot: snap,
-			Sent:     l.cfg.Probes,
-			Received: l.sinks[p.Dst].Received(i, snap),
-		}
-		if err := rc.Send(rep); err != nil {
-			return nil, err
+		// The beacon and sink halves go separately, as the standalone
+		// agents send them: one report could not say "0 received".
+		for _, rep := range []Report{
+			{PathID: i, Snapshot: snap, Sent: l.cfg.Probes},
+			{PathID: i, Snapshot: snap, Received: l.sinks[p.Dst].Received(i, snap)},
+		} {
+			if err := rc.Send(rep); err != nil {
+				return nil, err
+			}
 		}
 	}
 	frac, err := l.coll.WaitSnapshot(snap, len(l.paths), 5*time.Second)

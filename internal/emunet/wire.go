@@ -90,6 +90,14 @@ func (h *Header) Unmarshal(b []byte) error {
 
 // Report is one beacon/sink measurement record, shipped to the collector as
 // a JSON line over TCP (one object per line, newline-delimited).
+//
+// A path's snapshot is measured by two halves, which may arrive in one
+// report or in two. A report with Sent > 0 carries the beacon half; a
+// report with Sent == 0, or with Received > 0, carries the sink half. So a
+// beacon reports {Sent: n}, a sink {Received: k} — a sink that saw none of
+// a path's probes reports {Received: 0} — and a full report with k > 0 is
+// {Sent: n, Received: k}. A full report of total loss must send its sink
+// half on its own: {Sent: n, Received: 0} is the beacon half alone.
 type Report struct {
 	PathID   int `json:"path"`
 	Snapshot int `json:"snapshot"`

@@ -16,7 +16,8 @@ import (
 // CollectorConfig parameterizes a live CollectorSource.
 type CollectorConfig struct {
 	// Paths is the number of measurement paths per snapshot (required):
-	// a snapshot is complete once every path has a beacon report.
+	// a snapshot is complete once every path has its beacon and its sink
+	// report.
 	Paths int
 
 	// Probes is S, the probe count behind each received fraction, used
@@ -30,7 +31,10 @@ type CollectorConfig struct {
 	Settle time.Duration
 
 	// Timeout bounds the wait for each snapshot's completion. 0 selects
-	// 2 minutes (the standalone collector's default).
+	// 2 minutes (the standalone collector's default). A path whose sink
+	// report has not arrived by then (plus the settle window) is emitted as
+	// missing, NaN, which the server's sanitizer quarantines; it is never
+	// read as total loss.
 	Timeout time.Duration
 
 	// Snapshots caps the stream; after that many snapshots Next reports

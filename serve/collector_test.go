@@ -44,7 +44,8 @@ func TestCollectorSourceRoundTrip(t *testing.T) {
 		{PathID: 0, Snapshot: 0, Sent: 100},
 		{PathID: 0, Snapshot: 0, Received: 90},
 		{PathID: 1, Snapshot: 0, Received: 100},
-		{PathID: 0, Snapshot: 1, Sent: 100, Received: 0}, // total loss
+		{PathID: 0, Snapshot: 1, Sent: 100},
+		{PathID: 0, Snapshot: 1, Received: 0}, // total loss: the sink saw none
 		{PathID: 1, Snapshot: 1, Sent: 100, Received: 37},
 	}
 	for _, rep := range reports {
@@ -78,6 +79,72 @@ func TestCollectorSourceRoundTrip(t *testing.T) {
 	// The configured cap makes the stream finite.
 	if _, err := src.Next(ctx); !errors.Is(err, io.EOF) {
 		t.Fatalf("after cap: %v, want io.EOF", err)
+	}
+}
+
+// TestCollectorSourceLateSinkReport delays one path's sink report past the
+// settle window. The snapshot must wait for it rather than read the path's
+// missing received count as total loss, log(0.5/probes); a sink report that
+// never arrives by the timeout leaves the path missing (NaN), for the
+// server's sanitizer to quarantine.
+func TestCollectorSourceLateSinkReport(t *testing.T) {
+	const probes = 100
+	src, err := serve.NewCollectorSource("127.0.0.1:0", serve.CollectorConfig{
+		Paths:     2,
+		Probes:    probes,
+		Settle:    20 * time.Millisecond,
+		Timeout:   300 * time.Millisecond,
+		Snapshots: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	rc, err := emunet.DialCollector(src.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	send := func(reps ...emunet.Report) {
+		for _, rep := range reps {
+			if err := rc.Send(rep); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	send(
+		emunet.Report{PathID: 0, Snapshot: 0, Sent: probes, Received: 90},
+		emunet.Report{PathID: 1, Snapshot: 0, Sent: probes},
+		emunet.Report{PathID: 0, Snapshot: 1, Sent: probes, Received: 80},
+		emunet.Report{PathID: 1, Snapshot: 1, Sent: probes},
+	)
+	late := time.AfterFunc(120*time.Millisecond, func() {
+		send(emunet.Report{PathID: 1, Snapshot: 0, Received: 70})
+	})
+	defer late.Stop()
+
+	totalLoss := math.Log(0.5 / probes)
+	ctx := context.Background()
+	snap0, err := src.Next(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want0 := lia.LogRates([]float64{0.9, 0.7}, probes)
+	for i := range want0 {
+		if math.Float64bits(snap0.Y[i]) != math.Float64bits(want0[i]) {
+			t.Fatalf("snapshot 0 path %d: %v, want %v (total loss reads %v)", i, snap0.Y[i], want0[i], totalLoss)
+		}
+	}
+	// Snapshot 1's sink report for path 1 never comes.
+	snap1, err := src.Next(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Log(0.8); snap1.Y[0] != want {
+		t.Fatalf("snapshot 1 path 0: %v, want %v", snap1.Y[0], want)
+	}
+	if !math.IsNaN(snap1.Y[1]) {
+		t.Fatalf("snapshot 1 path 1 without a sink report: %v, want NaN (missing), never total loss %v", snap1.Y[1], totalLoss)
 	}
 }
 

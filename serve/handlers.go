@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"lia"
+	"lia/internal/jsonwire"
 )
 
 // SnapshotPayload is one snapshot in the ingest/infer request bodies:
@@ -277,6 +279,45 @@ func (tp *topo) vector(p SnapshotPayload) ([]float64, error) {
 	}
 }
 
+// decodeIngest reads a POST /v1/snapshots body once and decodes it. The
+// canonical shape takes jsonwire's fast path; any other body goes to
+// encoding/json, so its behaviour and error text are those of decoding the
+// body as a stream.
+func decodeIngest(r *http.Request) (IngestRequest, error) {
+	body, err := jsonwire.ReadAll(r.Body, r.ContentLength)
+	if err != nil {
+		return IngestRequest{}, err
+	}
+	if in, ok := jsonwire.DecodeIngest(body); ok {
+		req := IngestRequest{SnapshotPayload: SnapshotPayload(in.Snapshot)}
+		if in.Snapshots != nil {
+			req.Snapshots = make([]SnapshotPayload, len(in.Snapshots))
+			for i, p := range in.Snapshots {
+				req.Snapshots[i] = SnapshotPayload(p)
+			}
+		}
+		return req, nil
+	}
+	var req IngestRequest
+	err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
+}
+
+// decodeSnapshot reads a POST /v1/infer body once and decodes it, as
+// decodeIngest does.
+func decodeSnapshot(r *http.Request) (SnapshotPayload, error) {
+	body, err := jsonwire.ReadAll(r.Body, r.ContentLength)
+	if err != nil {
+		return SnapshotPayload{}, err
+	}
+	if p, ok := jsonwire.DecodeSnapshot(body); ok {
+		return SnapshotPayload(p), nil
+	}
+	var req SnapshotPayload
+	err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Topologies: len(s.names())})
 }
@@ -295,8 +336,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodeIngest(r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -323,8 +364,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req SnapshotPayload
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodeSnapshot(r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}

@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"lia"
+	"lia/internal/fingerprint"
 	"lia/internal/topology"
 )
 
@@ -464,10 +467,13 @@ func TestShardedErrorsAndStats(t *testing.T) {
 	}
 }
 
-// TestScalingFingerprint prints a deterministic digest of the sharded and
-// unsharded estimates. CI's scaling job runs it at GOMAXPROCS=1,2,4 and
-// asserts the printed fingerprint never changes: every parallel path is
-// bit-deterministic across worker counts.
+// update rewrites the pinned fingerprints (go test -run Fingerprint -update).
+var update = flag.Bool("update", false, "rewrite the pinned fingerprints")
+
+// TestScalingFingerprint pins a deterministic digest of the sharded and
+// unsharded estimates (testdata/scaling.fingerprint). CI's scaling job also
+// runs it at GOMAXPROCS=1,2,4 and asserts the printed fingerprint never
+// changes: every parallel path is bit-deterministic across worker counts.
 func TestScalingFingerprint(t *testing.T) {
 	ctx := context.Background()
 	rm, snaps := disconnectedWorkload(t)
@@ -495,5 +501,7 @@ func TestScalingFingerprint(t *testing.T) {
 		feed(res.LossRates)
 		feed(res.LogRates)
 	}
-	t.Logf("fingerprint=%x", h.Sum(nil))
+	fp := fmt.Sprintf("%x", h.Sum(nil))
+	t.Logf("fingerprint=%s", fp)
+	fingerprint.Check(t, "scaling", fp, *update)
 }

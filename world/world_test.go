@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"lia/internal/fingerprint"
 )
 
 // startServer spins up a listening server on a loopback port.
@@ -132,11 +135,16 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorldFingerprint logs a stable stream digest; CI's scale job runs it
-// at GOMAXPROCS=1,2,4 and diffs the logged fingerprints.
+// update rewrites the pinned fingerprint (go test -run Fingerprint -update).
+var update = flag.Bool("update", false, "rewrite the pinned fingerprint")
+
+// TestWorldFingerprint pins a stable stream digest
+// (testdata/stream.fingerprint); CI's scale job also runs it at
+// GOMAXPROCS=1,2,4 and diffs the logged fingerprints.
 func TestWorldFingerprint(t *testing.T) {
-	h := streamHash(t, 1907, 200, []int{13})
-	t.Logf("fingerprint=%x", h)
+	fp := fmt.Sprintf("%x", streamHash(t, 1907, 200, []int{13}))
+	t.Logf("fingerprint=%s", fp)
+	fingerprint.Check(t, "stream", fp, *update)
 }
 
 func TestEventValidate(t *testing.T) {
