@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,7 +19,6 @@ import (
 	"time"
 
 	"lia"
-	"lia/internal/jsonwire"
 )
 
 // placement is one immutable assignment generation: handlers snapshot it
@@ -346,17 +348,17 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case gen != 0 && gen != p.assignment:
 		abort(fmt.Errorf("stream is for assignment %d, node runs %d", gen, p.assignment))
 	}
-	lines := jsonwire.NewLines(r.Body)
-	ingested := 0
-	for rec := 0; ; rec++ {
-		line, err := lines.Next()
-		if errors.Is(err, io.EOF) {
-			break
+	// Records are newline-delimited. The scanner reuses one buffer, grown
+	// to the longest record, for the whole stream.
+	sc := bufio.NewScanner(r.Body)
+	sc.Buffer(make([]byte, 4096), math.MaxInt)
+	ingested, rec := 0, 0
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(bytes.Trim(line, " \t\r")) == 0 {
+			continue // whitespace between records, as json.Decoder skipped it
 		}
-		var ys [][]float64
-		if err == nil {
-			ys, err = decodeIngestLine(line)
-		}
+		ys, err := decodeIngestLine(line)
 		if err != nil {
 			abort(fmt.Errorf("ingest record %d (%d ingested): decode: %w", rec, ingested, err))
 		}
@@ -367,6 +369,10 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			abort(fmt.Errorf("ingest record %d (%d ingested): %w", rec, ingested, err))
 		}
 		ingested += len(ys)
+		rec++
+	}
+	if err := sc.Err(); err != nil {
+		abort(fmt.Errorf("ingest record %d (%d ingested): read: %w", rec, ingested, err))
 	}
 	writeJSON(w, http.StatusOK, IngestSummary{
 		NodeID:    n.ID,
@@ -384,7 +390,7 @@ func (n *Node) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := jsonwire.ReadAll(r.Body, r.ContentLength)
+	body, err := io.ReadAll(r.Body)
 	var req InferRequest
 	if err == nil {
 		req, err = decodeInferRequest(body)

@@ -142,7 +142,7 @@ func reportLoop(sink *emunet.Sink, collector string, _ int) {
 }
 
 func reportOnce(sink *emunet.Sink, rc *emunet.ReportConn) {
-	for key, n := range sink.Counts() {
-		_ = rc.Send(emunet.Report{PathID: key[0], Snapshot: key[1], Received: n})
+	if err := sink.Report(rc); err != nil {
+		log.Printf("beacon: sink report: %v", err)
 	}
 }

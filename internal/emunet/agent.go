@@ -62,11 +62,21 @@ func (s *Sink) serve() {
 				continue
 			}
 		}
-		if h.Unmarshal(buf[:n]) != nil || h.Type != TypeProbe {
+		if h.Unmarshal(buf[:n]) != nil {
 			continue
 		}
+		key := [2]int{int(h.PathID), int(h.Snapshot)}
 		s.mu.Lock()
-		s.recv[[2]int{int(h.PathID), int(h.Snapshot)}]++
+		switch h.Type {
+		case TypeProbe:
+			s.recv[key]++
+		case TypeEnd:
+			// The path's probes are over: a path that lost every probe
+			// gets a zero counter, so Counts reports its sink half.
+			if _, ok := s.recv[key]; !ok {
+				s.recv[key] = 0
+			}
+		}
 		s.mu.Unlock()
 	}
 }
@@ -79,7 +89,8 @@ func (s *Sink) Received(path, snapshot int) int {
 }
 
 // Counts returns a copy of every (path, snapshot) counter, for periodic
-// reporting by standalone sink agents.
+// reporting by standalone sink agents. A path whose end marker arrived has
+// a counter even if none of its probes did.
 func (s *Sink) Counts() map[[2]int]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,6 +99,17 @@ func (s *Sink) Counts() map[[2]int]int {
 		out[k] = v
 	}
 	return out
+}
+
+// Report sends the sink half of every (path, snapshot) counter to the
+// collector — the timer-driven report of a standalone sink agent.
+func (s *Sink) Report(rc *ReportConn) error {
+	for key, n := range s.Counts() {
+		if err := rc.Send(Report{PathID: key[0], Snapshot: key[1], Received: n}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close stops the sink.
@@ -113,8 +135,10 @@ func NewBeacon(core *net.UDPAddr) (*Beacon, error) {
 	return &Beacon{conn: conn, core: core}, nil
 }
 
-// ProbePath sends S probes for the path in one snapshot. The inter-probe
-// gap throttles the send rate (the paper uses 10 ms probes at 100 KB/s per
+// ProbePath sends S probes for the path in one snapshot, then a TypeEnd
+// marker that the core hands to the sink without loss, so the sink reports
+// the path even when it received none of the probes. The inter-probe gap
+// throttles the send rate (the paper uses 10 ms probes at 100 KB/s per
 // host; tests pass 0 for full speed). It returns the number of probes
 // handed to the socket.
 func (b *Beacon) ProbePath(pathID, snapshot, probes int, gap time.Duration) (int, error) {
@@ -130,6 +154,10 @@ func (b *Beacon) ProbePath(pathID, snapshot, probes int, gap time.Duration) (int
 		if gap > 0 {
 			time.Sleep(gap)
 		}
+	}
+	end := Header{Type: TypeEnd, PathID: uint32(pathID), Snapshot: uint32(snapshot)}
+	if _, err := b.conn.WriteToUDP(end.Marshal(), b.core); err != nil {
+		return sent, fmt.Errorf("emunet: end marker for path %d: %w", pathID, err)
 	}
 	return sent, nil
 }
@@ -316,7 +344,10 @@ func (c *Collector) WaitSnapshot(snapshot, numPaths int, timeout time.Duration) 
 // deadline that passes while only sink reports are missing returns the
 // snapshot with NaN — missing — for those paths, never a zero: a path whose
 // sink has not reported is unmeasured, not totally lossy, and
-// lia.SanitizeSource quarantines the snapshot.
+// lia.SanitizeSource quarantines the snapshot. A path that lost every probe
+// is not such a path: the beacon's end marker gives its sink a zero counter
+// to report, so it reads as total loss within the settle window.
+// Missing paths come from a dead sink or a lost end marker.
 func (c *Collector) AwaitSnapshot(ctx context.Context, snapshot, numPaths int, settle time.Duration) ([]float64, error) {
 	wait := func(stage string, d time.Duration) error {
 		select {

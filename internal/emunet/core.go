@@ -186,6 +186,8 @@ func (c *Core) serve() {
 		switch h.Type {
 		case TypeProbe:
 			c.handleProbe(&h)
+		case TypeEnd:
+			c.handleEnd(&h)
 		case TypeTrace:
 			c.handleTrace(&h, from)
 		case TypeFlush:
@@ -233,6 +235,25 @@ func (c *Core) handleProbe(h *Header) {
 	}
 	if _, err := c.conn.WriteToUDP(h.Marshal(), sink); err != nil {
 		c.logf("emunet core: forward to %v: %v", sink, err)
+	}
+}
+
+// handleEnd forwards a beacon's end-of-probes marker to the path's sink
+// without walking the loss processes: it is how a sink learns of a path
+// whose every probe was dropped. It leaves the sink after every probe the
+// beacon sent before it, because the core handles datagrams in order.
+func (c *Core) handleEnd(h *Header) {
+	c.mu.Lock()
+	var sink *net.UDPAddr
+	if p, ok := c.paths[int(h.PathID)]; ok {
+		sink = p.Sink
+	}
+	c.mu.Unlock()
+	if sink == nil {
+		return
+	}
+	if _, err := c.conn.WriteToUDP(h.Marshal(), sink); err != nil {
+		c.logf("emunet core: forward end marker to %v: %v", sink, err)
 	}
 }
 

@@ -131,6 +131,29 @@ func TestCoreSetRates(t *testing.T) {
 	}
 }
 
+// TestSinkCountsTotalLoss: the end marker reaches the sink through a link
+// that drops every probe, so the sink counts the path at zero.
+func TestSinkCountsTotalLoss(t *testing.T) {
+	_, sink, beacon := testDeployment(t, map[int]float64{10: 1, 11: 0})
+	if _, err := beacon.ProbePath(1, 0, 100, 0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n, ok := sink.Counts()[[2]int{1, 0}]
+		if ok {
+			if n != 0 {
+				t.Fatalf("sink counted %d probes through a 100%% lossy link", n)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sink never counted the path whose probes were all lost")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestTracerDiscoversPath(t *testing.T) {
 	core, _, _ := testDeployment(t, map[int]float64{10: 0, 11: 0})
 	core.AddRouter(RouterInfo{ID: 5, Interfaces: []uint32{81, 82}, Responds: true})
@@ -254,6 +277,50 @@ func TestCollectorAwaitSnapshot(t *testing.T) {
 	defer cancel2()
 	if _, err := coll.AwaitSnapshot(ctx2, 1, 2, 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("AwaitSnapshot on incomplete snapshot = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestCollectorReportHalves pins which half of a path's measurement each
+// report carries (see Report): {Sent: n} and {Sent: n, Received: 0} are the
+// beacon half, {Received: k} — k = 0 included — is the sink half, and
+// {Sent: n, Received: k > 0} is both.
+func TestCollectorReportHalves(t *testing.T) {
+	coll, err := NewCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	rc, err := DialCollector(coll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	send := func(reps ...Report) {
+		t.Helper()
+		for _, rep := range reps {
+			if err := rc.Send(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(
+		Report{PathID: 0, Snapshot: 0, Sent: 100},
+		Report{PathID: 1, Snapshot: 0, Sent: 100, Received: 0},
+		Report{PathID: 2, Snapshot: 0, Sent: 100, Received: 40},
+	)
+	if frac, err := coll.WaitSnapshot(0, 3, 100*time.Millisecond); err == nil {
+		t.Fatalf("snapshot complete with two beacon halves alone: %v", frac)
+	}
+	send(
+		Report{PathID: 0, Snapshot: 0, Received: 0},
+		Report{PathID: 1, Snapshot: 0, Received: 0},
+	)
+	frac, err := coll.WaitSnapshot(0, 3, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frac[0] != 0 || frac[1] != 0 || frac[2] != 0.4 {
+		t.Fatalf("frac = %v, want [0 0 0.4]", frac)
 	}
 }
 

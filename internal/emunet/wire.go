@@ -20,6 +20,7 @@ const (
 	TypeTrace      = 2 // beacon → core TTL-limited discovery probe
 	TypeTraceReply = 3 // core → beacon "TTL exceeded" / "port unreachable"
 	TypeFlush      = 4 // beacon → core barrier, echoed back once processed
+	TypeEnd        = 5 // beacon → core → sink end of a path's probes, never dropped
 )
 
 // Magic and Version identify the wire format.
@@ -95,9 +96,11 @@ func (h *Header) Unmarshal(b []byte) error {
 // report or in two. A report with Sent > 0 carries the beacon half; a
 // report with Sent == 0, or with Received > 0, carries the sink half. So a
 // beacon reports {Sent: n}, a sink {Received: k} — a sink that saw none of
-// a path's probes reports {Received: 0} — and a full report with k > 0 is
-// {Sent: n, Received: k}. A full report of total loss must send its sink
-// half on its own: {Sent: n, Received: 0} is the beacon half alone.
+// a path's probes reports {Received: 0}, which it can because the beacon's
+// TypeEnd marker tells it the path's probes are over — and a full report
+// with k > 0 is {Sent: n, Received: k}. A full report of total loss must
+// send its sink half on its own: {Sent: n, Received: 0} is the beacon half
+// alone.
 type Report struct {
 	PathID   int `json:"path"`
 	Snapshot int `json:"snapshot"`

@@ -5,15 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
 	"testing"
-	"testing/iotest"
 
 	"lia/cluster"
 	"lia/internal/jsonwire"
@@ -343,43 +340,6 @@ func TestAppendFloatMatchesJSON(t *testing.T) {
 	}
 }
 
-func TestLines(t *testing.T) {
-	long := strings.Repeat("7", 10000)
-	input := "a\n\n  \r\nbb\n" + long + "\n\tc \nlast"
-	want := []string{"a", "bb", long, "\tc ", "last"}
-	for name, r := range map[string]io.Reader{
-		"whole":   strings.NewReader(input),
-		"onebyte": iotest.OneByteReader(strings.NewReader(input)),
-		"half":    iotest.HalfReader(strings.NewReader(input)),
-		"dataerr": iotest.DataErrReader(strings.NewReader(input)),
-	} {
-		l := jsonwire.NewLines(r)
-		var got []string
-		for {
-			line, err := l.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got = append(got, string(line))
-		}
-		if strings.Join(got, "|") != strings.Join(want, "|") {
-			t.Errorf("%s: records %q, want %q", name, got, want)
-		}
-	}
-	// A read error drops the partial record and surfaces as is.
-	boom := errors.New("boom")
-	l := jsonwire.NewLines(io.MultiReader(strings.NewReader("x\npart"), iotest.ErrReader(boom)))
-	if line, err := l.Next(); err != nil || string(line) != "x" {
-		t.Fatalf("first record: %q, %v", line, err)
-	}
-	if line, err := l.Next(); !errors.Is(err, boom) || line != nil {
-		t.Fatalf("after read error: %q, %v; want nil, boom", line, err)
-	}
-}
-
 func FuzzDecodeIngest(f *testing.F) {
 	for _, tc := range edgeBodies {
 		f.Add([]byte(tc.body))
@@ -433,9 +393,10 @@ func floatBytes(vals []float64) []byte {
 	return out
 }
 
-// TestExactFloatMatchesParseFloat covers the short-decimal path on the
-// values received-fraction bodies carry and on its boundaries.
-func TestExactFloatMatchesParseFloat(t *testing.T) {
+// TestFloatMatchesParseFloat holds the scanner's numbers to
+// strconv.ParseFloat on the values received-fraction bodies carry and on
+// the edges of float64's exact integers and powers of ten.
+func TestFloatMatchesParseFloat(t *testing.T) {
 	texts := []string{"0", "-0", "1", "-1", "0.5", "0.987", "-0.000", "4503599627370495", "4503599627370496",
 		"9007199254740993", "0.1234567890123456", "1.0000000000000000000001", "123456789012345678",
 		"0.0000000000000000000001", "0.00000000000000000000001", "-3.75e-3", "1E5"}

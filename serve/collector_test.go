@@ -148,6 +148,100 @@ func TestCollectorSourceLateSinkReport(t *testing.T) {
 	}
 }
 
+// TestCollectorSourceTotalLossPath runs the agents as cmd/beacon does — a
+// core, a beacon that reports its sent counts, a sink that reports its
+// counters on a timer — over one clean path and one path whose link drops
+// every probe. The lossy path's sink never sees a probe, yet the beacon's
+// end marker gives it a zero counter to report, so the snapshot completes
+// in the settle window and the path reads as total loss, log(0.5/probes),
+// rather than waiting out the timeout as missing.
+func TestCollectorSourceTotalLossPath(t *testing.T) {
+	const probes = 50
+	settle := 300 * time.Millisecond
+	src, err := serve.NewCollectorSource("127.0.0.1:0", serve.CollectorConfig{
+		Paths:     2,
+		Probes:    probes,
+		Settle:    settle,
+		Timeout:   10 * time.Second,
+		Snapshots: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	core, err := emunet.NewCore(emunet.CoreConfig{Rates: map[int]float64{10: 0, 11: 1}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer core.Close()
+	sink, err := emunet.NewSink()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	core.AddPath(emunet.PathSpec{ID: 0, Links: []int{10}, Sink: sink.Addr()})
+	core.AddPath(emunet.PathSpec{ID: 1, Links: []int{11}, Sink: sink.Addr()})
+	beacon, err := emunet.NewBeacon(core.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer beacon.Close()
+	rc, err := emunet.DialCollector(src.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	// The sink's timer-driven reports, on a connection of their own.
+	stop := make(chan struct{})
+	reported := make(chan struct{})
+	go func() {
+		defer close(reported)
+		sc, err := emunet.DialCollector(src.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer sc.Close()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if err := sink.Report(sc); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-reported }()
+
+	start := time.Now()
+	for path := 0; path < 2; path++ {
+		sent, err := beacon.ProbePath(path, 0, probes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.Send(emunet.Report{PathID: path, Snapshot: 0, Sent: sent}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := src.Next(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > settle+5*time.Second {
+		t.Fatalf("snapshot took %v with a %v settle window: the total-loss path waited for a sink report", took, settle)
+	}
+	want := lia.LogRates([]float64{1, 0}, probes)
+	for i := range want {
+		if math.Float64bits(snap.Y[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("path %d: %v, want %v (total loss is log(0.5/probes) = %v)", i, snap.Y[i], want[i], math.Log(0.5/probes))
+		}
+	}
+}
+
 // TestCollectorSourceFeedsEngine closes the loop: Engine.Consume drains a
 // CollectorSource while an agent goroutine reports measurements, with no
 // NDJSON hop in between.

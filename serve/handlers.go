@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -284,7 +285,7 @@ func (tp *topo) vector(p SnapshotPayload) ([]float64, error) {
 // encoding/json, so its behaviour and error text are those of decoding the
 // body as a stream.
 func decodeIngest(r *http.Request) (IngestRequest, error) {
-	body, err := jsonwire.ReadAll(r.Body, r.ContentLength)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return IngestRequest{}, err
 	}
@@ -306,7 +307,7 @@ func decodeIngest(r *http.Request) (IngestRequest, error) {
 // decodeSnapshot reads a POST /v1/infer body once and decodes it, as
 // decodeIngest does.
 func decodeSnapshot(r *http.Request) (SnapshotPayload, error) {
-	body, err := jsonwire.ReadAll(r.Body, r.ContentLength)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return SnapshotPayload{}, err
 	}
